@@ -23,6 +23,7 @@ from .reduction import (
     oracle_reduce,
     reduce,
     render_diagram,
+    type_selections,
 )
 from .lexicon import (
     Lexicon,

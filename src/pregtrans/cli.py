@@ -7,7 +7,6 @@ whitespace, `|` separates brace segments, and `@0` is the empty word.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import sys
@@ -17,7 +16,7 @@ import click
 import numpy as np
 
 from . import data as bundled
-from .core import AtomTable, CompoundType, PregroupError, parse_type, render_type
+from .core import AtomTable, CompoundType, PregroupError, concat, parse_type, render_type
 from .functors import (
     FunctorSpec,
     NotTranslatableError,
@@ -27,7 +26,7 @@ from .functors import (
     translate_sentence,
 )
 from .lexicon import Lexicon, UnknownWordError, load_lexicon
-from .reduction import enumerate_reductions, oracle_reduce, reduce, render_diagram
+from .reduction import oracle_selections, reduce, render_diagram, type_selections
 from .semantics import (
     AlphaSpec,
     check_naturality,
@@ -117,34 +116,27 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
 
     Without SENTENCE, reads one sentence per line from standard input.
     """
+    if enumerate_all and limit < 1:
+        raise CliError("--limit must be at least 1")
     lex = _resolve_lexicon(lexicon_name)
     try:
         goal = parse_type(target, lex.table)
     except PregroupError as exc:
         raise CliError(str(exc)) from exc
     exit_code = 0
+    budget = limit if enumerate_all else 1
     for line in _sentences(sentence):
-        tokens = line.split()
-        found = []
         try:
-            candidates = [sorted(lex.types_of(tok), key=render_type) for tok in tokens]
-            for selection in itertools.product(*candidates):
-                flat = CompoundType()
-                for t in selection:
-                    flat = flat + t
-                witnesses = enumerate_reductions(
-                    flat, goal, lex.table, limit=limit if enumerate_all else 1
-                )
-                for w in witnesses:
-                    found.append((flat, w))
-                    if not enumerate_all:
-                        break
-                if found and not enumerate_all:
-                    break
-                if len(found) >= limit:
-                    break
+            alternatives = [lex.alternatives(tok) for tok in line.split()]
         except UnknownWordError as exc:
             raise CliError(str(exc)) from exc
+        found = []  # (flat type, its rendering, witness)
+        for selection, search in type_selections(alternatives, goal, lex.table):
+            flat = concat(selection)
+            shown = render_type(flat)
+            found.extend((flat, shown, w) for w in search.witnesses(budget - len(found)))
+            if len(found) >= budget:
+                break
         if fmt == "json":
             click.echo(
                 json.dumps(
@@ -153,11 +145,11 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
                         "reducible": bool(found),
                         "witnesses": [
                             {
-                                "type": render_type(flat),
+                                "type": shown,
                                 "links": sorted(list(l) for l in w.links),
                                 "residue": list(w.residue),
                             }
-                            for flat, w in found
+                            for _, shown, w in found
                         ],
                     },
                     ensure_ascii=False,
@@ -166,7 +158,7 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
         elif not found:
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
-            for flat, w in found:
+            for flat, _, w in found:
                 click.echo(render_diagram(flat, w, format="text" if fmt == "text" else "dot"))
                 click.echo()
         if not found:
@@ -315,6 +307,10 @@ def _naturality_suite(tol: float) -> list[str]:
 
 
 def _oracle_suite(max_len: int, count: int) -> list[str]:
+    """Random tokens of one to three alternative types, at most ``max_len``
+    simple types per selection and 27 selections per sentence: the search
+    must pick the same selections, in order, with the same witnesses as
+    the brute-force oracle."""
     from .core import SimpleType
 
     table = AtomTable({"a", "b", "c", "d"}, [("a", "b")])
@@ -322,15 +318,23 @@ def _oracle_suite(max_len: int, count: int) -> list[str]:
     failures = []
     goal = CompoundType((SimpleType("b"),))
     for _ in range(count):
-        parts = tuple(
-            SimpleType(rng.choice("abcd"), rng.randint(-1, 1))
-            for _ in range(rng.randint(0, max_len))
-        )
-        t = CompoundType(parts)
-        fast = set(enumerate_reductions(t, goal, table))
-        slow = set(oracle_reduce(t, goal, table))
+        alternatives, room, selections = [], rng.randint(0, max_len), 1
+        while room > 0:
+            size = rng.randint(1, min(room, 3))
+            ways = rng.randint(1, 3) if selections * 3 <= 27 else 1
+            alternatives.append([
+                CompoundType(tuple(
+                    SimpleType(rng.choice("abb"), rng.randint(-1, 1))
+                    for _ in range(rng.randint(0, size))
+                ))
+                for _ in range(ways)
+            ])
+            room, selections = room - size, selections * ways
+        fast = [(s, set(w.witnesses())) for s, w in type_selections(alternatives, goal, table)]
+        slow = [(s, set(ws)) for s, ws in oracle_selections(alternatives, goal, table)]
         if fast != slow:
-            failures.append(f"mismatch on {render_type(t)!r}")
+            shown = " ".join("{" + " | ".join(map(render_type, a)) + "}" for a in alternatives)
+            failures.append(f"mismatch on {shown}")
     return failures
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 
 class PregroupError(Exception):
@@ -42,6 +42,30 @@ def _valid_atom_name(name: str) -> bool:
     return bool(name) and not any(c.isspace() or c in _FORBIDDEN for c in name)
 
 
+class _Index(dict):
+    """simple type -> frozenset of simple types, filled on first lookup: the
+    same atom and beta tag, the exponent raised by ``step``, and the atoms
+    above or below in the order ``up`` (atom -> atoms above it), as the
+    exponent's parity says."""
+
+    __slots__ = ("up", "step")
+
+    def __init__(self, up, step):
+        super().__init__()
+        self.up, self.step = up, step
+
+    def __missing__(self, x):
+        up, z = self.up, x.exponent
+        if x.atom not in up:
+            raise UnknownAtomError(x.atom)
+        if (z % 2 == 0) == (self.step == 1):
+            atoms = up[x.atom]
+        else:
+            atoms = [a for a in up if x.atom in up[a]]
+        found = self[x] = frozenset(SimpleType(a, z + self.step, x.beta) for a in atoms)
+        return found
+
+
 class AtomTable:
     """Atomic grammatical types plus a partial order between them.
 
@@ -65,6 +89,9 @@ class AtomTable:
                 if name not in self.atoms:
                     raise UnknownAtomError(name)
         self._up = self._close()
+        # partners[x]: every y with contracts(x, y); below[y]: every x with
+        # simple_leq(x, y); both filled on first use
+        self.partners, self.below = _Index(self._up, 1), _Index(self._up, 0)
 
     def _close(self) -> dict[str, frozenset[str]]:
         succ: dict[str, set[str]] = {a: set() for a in self.atoms}
@@ -99,9 +126,9 @@ class AtomTable:
         return f"AtomTable({sorted(self.atoms)!r}, {sorted(self.order_pairs)!r})"
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """An atom with an adjoint exponent and an optional beta tag."""
+class SimpleType(NamedTuple):
+    """An atom with an adjoint exponent and an optional beta tag (a named
+    tuple, so the reduction search hashes and compares it at C speed)."""
 
     atom: str
     exponent: int = 0
@@ -122,6 +149,9 @@ class SimpleType:
 
     def __str__(self):
         return self.render()
+
+    def __add__(self, other):  # not tuple concatenation; types concatenate as CompoundType
+        return NotImplemented
 
 
 @dataclass(frozen=True, order=True)
@@ -179,6 +209,11 @@ Type = Union[CompoundType, BracedType]
 EMPTY = CompoundType()
 
 
+def concat(types: Iterable[CompoundType]) -> CompoundType:
+    """The concatenation of a sequence of types, in linear time."""
+    return CompoundType(tuple(p for t in types for p in t.parts))
+
+
 def left_adjoint(t: CompoundType) -> CompoundType:
     """(xy)^l = y^l x^l: reverse the parts and decrement every exponent."""
     return CompoundType(tuple(p.left for p in reversed(t.parts)))
@@ -196,21 +231,13 @@ def atom_leq(a: str, b: str, table: AtomTable) -> bool:
 def simple_leq(x: SimpleType, y: SimpleType, table: AtomTable) -> bool:
     """Order between simple types: equal exponent and tag, with the atom
     order flipped at odd exponents (if x <= y then y^l <= x^l)."""
-    if x.exponent != y.exponent or x.beta != y.beta:
-        return False
-    if x.exponent % 2 == 0:
-        return table.leq(x.atom, y.atom)
-    return table.leq(y.atom, x.atom)
+    return x in table.below[y]
 
 
 def contracts(x: SimpleType, y: SimpleType, table: AtomTable) -> bool:
     """Whether x y -> 1 is a licensed contraction (x at exponent z, y at
     z + 1, matching beta tags, atom order adjusted for parity)."""
-    if y.exponent != x.exponent + 1 or x.beta != y.beta:
-        return False
-    if x.exponent % 2 == 0:
-        return table.leq(x.atom, y.atom)
-    return table.leq(y.atom, x.atom)
+    return y in table.partners[x]
 
 
 _TOKEN = re.compile(r"<|>|[^\s<>]+")

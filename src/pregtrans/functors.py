@@ -10,7 +10,6 @@ multi-word).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from .core import (
     right_adjoint,
 )
 from .lexicon import Lexicon, Metarule
-from .reduction import ReductionWitness, reduce
+from .reduction import ReductionWitness, reduce, type_selections
 
 MODES = {"homomorphism", "antihomomorphism", "bracewise"}
 
@@ -211,12 +210,13 @@ def check_functor_laws(f: FunctorSpec, samples: list[CompoundType]) -> FunctorLa
 
     anti = f.mode == "antihomomorphism"
     apply = apply_antihomomorphism if anti else apply_homomorphism
-    for x, y in itertools.product(samples, repeat=2):
-        image = apply(f, x + y)
-        if anti:
-            expect("F(xy) = F(y)F(x)", x + y, image, apply(f, y) + apply(f, x))
-        else:
-            expect("F(xy) = F(x)F(y)", x + y, image, apply(f, x) + apply(f, y))
+    for x in samples:
+        for y in samples:
+            image = apply(f, x + y)
+            if anti:
+                expect("F(xy) = F(y)F(x)", x + y, image, apply(f, y) + apply(f, x))
+            else:
+                expect("F(xy) = F(x)F(y)", x + y, image, apply(f, x) + apply(f, y))
     for x in samples:
         if anti:
             expect("F(x^l) = F(x)^r", x, apply(f, left_adjoint(x)), right_adjoint(apply(f, x)))
@@ -278,23 +278,15 @@ def translate_sentence(
         mask = (f.mode == "antihomomorphism",)
 
     goal = parse_type(source_target, lex_src.table)
-    candidates = [sorted(lex_src.types_of(tok), key=render_type) for tok in tokens]
-
-    chosen = None
-    witness = None
-    for selection in itertools.product(*candidates):
-        flat = CompoundType()
-        for t in selection:
-            flat = flat + t
-        w = reduce(flat, goal, lex_src.table)
-        if w is not None:
-            chosen, witness = selection, w
-            break
-    if chosen is None:
+    alternatives = [lex_src.alternatives(tok) for tok in tokens]
+    for chosen, search in type_selections(alternatives, goal, lex_src.table):
+        break
+    else:
         raise NotTranslatableError(
             f"no type selection of {tokens} reduces to {source_target!r} in "
             f"{lex_src.language}"
         )
+    witness = search.witnesses(1)[0]
 
     seg_types = []
     pos = 0

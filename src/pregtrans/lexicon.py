@@ -54,6 +54,7 @@ class Metarule:
 
     kind: str
     params: tuple[tuple[str, object], ...]
+    _parsed: CompoundType | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def make(cls, kind: str, **params) -> "Metarule":
@@ -98,10 +99,16 @@ class Metarule:
         elif self.kind == "atom-expansion":
             if p.get("atom") not in table:
                 raise LexiconError(f"metarule references unknown atom {p.get('atom')!r}")
-            parse_type(p.get("replacement", ""), table)
+            self._replacement(table)
         elif self.kind == "slot-flip":
             if p.get("head") not in table:
                 raise LexiconError(f"metarule references unknown atom {p.get('head')!r}")
+
+    def _replacement(self, table: AtomTable) -> CompoundType:
+        # an atom-expansion's replacement, parsed once per rule
+        if self._parsed is None:
+            object.__setattr__(self, "_parsed", parse_type(self.param_dict["replacement"], table))
+        return self._parsed
 
     def apply(self, t: CompoundType, table: AtomTable) -> list[CompoundType]:
         """All types derivable from ``t`` by one application."""
@@ -127,7 +134,7 @@ class Metarule:
             ):
                 out.append(CompoundType((parts[1], parts[0]) + parts[2:]))
         elif self.kind == "atom-expansion":
-            replacement = parse_type(p["replacement"], table)
+            replacement = self._replacement(table)
             for i, q in enumerate(parts):
                 if q.atom == p["atom"] and q.exponent == 0 and not q.beta:
                     out.append(CompoundType(parts[:i] + replacement.parts + parts[i + 1 :]))
@@ -175,6 +182,8 @@ class Lexicon:
         self.entries = dict(entries)
         self.metarules = list(metarules)
         self.empty_words = tuple(empty_words)
+        self._types: dict[str, frozenset[CompoundType]] = {}  # see types_of()
+        self._alternatives: dict[str, tuple[CompoundType, ...]] = {}
         self._aliases = {}
         for entry in self.entries.values():
             for alias in entry.aliases:
@@ -189,7 +198,22 @@ class Lexicon:
         return sorted(self.entries)
 
     def types_of(self, word: str) -> frozenset[CompoundType]:
-        """The word's types closed under the metarules (bounded depth)."""
+        """The word's types closed under the metarules (bounded depth),
+        computed on first use and kept: a lexicon does not change."""
+        found = self._types.get(word)
+        if found is None:
+            found = self._types[word] = self._close(word)
+        return found
+
+    def alternatives(self, word: str) -> tuple[CompoundType, ...]:
+        """The word's types in rendered order, the order in which type
+        selections try them; kept like :meth:`types_of`."""
+        found = self._alternatives.get(word)
+        if found is None:
+            found = self._alternatives[word] = tuple(sorted(self.types_of(word), key=render_type))
+        return found
+
+    def _close(self, word: str) -> frozenset[CompoundType]:
         if word in EMPTY_TOKENS:
             return frozenset(self.empty_words)
         key = self.resolve(word)

@@ -1,17 +1,24 @@
-"""Planar contraction search: decide whether a type string reduces to a
-target and enumerate all distinct reduction witnesses.
+"""Planar contraction search over a lattice of word type alternatives.
 
 A witness is a non-crossing, well-nested set of contraction links plus the
-ordered residue of unlinked positions.  Search is a span dynamic program:
-for every span we enumerate the link sets reducing it to the unit, then
-assemble residues against the target.  Induced order steps (s1 -> s,
-n -> pi) are folded into the contraction and residue checks.
+ordered residue of unlinked positions.  The input is a lattice: tokens with
+one or more alternative types each, whose simple types are the edges of a
+DAG whose paths spell the type selections; a flat type has one alternative
+per token.  :class:`SpanSearch` decides lazily, with memos, whether a path
+between two nodes reduces to the unit (a span) or to the rest of the target
+(a goal state).  For N simple types there are O(N^2) such states, each
+decided in O(N) steps, so a sentence is decided in O(N^3) time and no state
+known to fail is expanded twice.  Witnesses come out depth first in a fixed
+search order, entering only states that succeed, and a span's link sets are
+a lazy stream shared by every context around it.  :func:`type_selections`
+picks type selections in ``itertools.product`` order.  Induced order steps
+(s1 -> s, n -> pi) are folded into the contraction and residue checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import itertools
+from typing import NamedTuple
 
 from .core import (
     AtomTable,
@@ -19,6 +26,7 @@ from .core import (
     CompoundType,
     PregroupError,
     Type,
+    concat,
     contracts,
     simple_leq,
 )
@@ -36,9 +44,9 @@ class OracleSizeError(PregroupError):
     pass
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
-    """A planar set of contraction links plus the residue positions."""
+class ReductionWitness(NamedTuple):
+    """A planar set of contraction links plus the residue positions (a named
+    tuple: enumeration builds thousands of them)."""
 
     links: frozenset[Link]
     residue: tuple[int, ...]
@@ -76,62 +84,248 @@ def _flatten(t: Type) -> CompoundType:
     return t.flatten() if isinstance(t, BracedType) else t
 
 
+_STOP = (-1, -1)  # memo move: take the empty path
+
+
+class SpanSearch:
+    """Memoised reduction search over a lattice of type alternatives.
+
+    ``alternatives`` holds one sequence of types per token.  Position p is
+    the simple type ``parts[p]`` on the edge ``src[p] -> dst[p]``; node 0
+    is the start and ``end`` the end.  Nodes and positions are numbered in
+    token order, so edges point forward, and with one alternative per token
+    position p is the p-th simple type of the concatenation.  A state
+    (u, t, v) asks whether a path from node u to node v reduces to
+    ``goal[t:]``; with t = len(goal) that is the unit.  Its memo entry is
+    False if it fails, else its first move in search order: ``(p, k)``
+    links p to k, ``(p, -1)`` keeps p as residue and ``_STOP`` ends.
+    """
+
+    def __init__(self, alternatives, target: CompoundType, table: AtomTable):
+        self.goal, self.table, self.m = target.parts, table, len(target)
+        self.below = [table.below[g] for g in self.goal] + [()]
+        self.eps: dict[int, frozenset[int]] = {}  # nodes reached over empty alternatives
+        if all(len(a) == 1 for a in alternatives):
+            self.parts = [x for a in alternatives for x in _flatten(a[0]).parts]
+            n = self.end = len(self.parts)
+            self.src, self.dst, self.par = range(n), range(1, n + 1), None
+            self.out = [(u,) for u in range(n)] + [()]
+        else:
+            self._layout([[_flatten(a).parts for a in alts] for alts in alternatives])
+        self.width, self.depth = self.end + 1, self.m + 1
+        self.linked: list[list[int] | None] = [None] * len(self.parts)  # see linkable()
+        self.memo: dict[int, object] = {}  # state -> False or its first move
+        self.streams: dict[int, object] = {}  # span -> its link sets, see trees()
+
+    def _layout(self, tokens):
+        # node ids are position ids: a token starts at its first position,
+        # and inside an alternative the node before position p is p
+        parts, src, dst, skips = [], [], [], {}
+        for strings in tokens:
+            start = len(parts)
+            end = start + sum(map(len, strings))
+            for s in strings:
+                for j, x in enumerate(s):
+                    src.append(start if j == 0 else len(parts))
+                    dst.append(end if j == len(s) - 1 else len(parts) + 1)
+                    parts.append(x)
+                if not s and end != start:  # an empty alternative skips the token
+                    skips[start] = end
+        out = [[] for _ in range(len(parts) + 1)]
+        for p, u in enumerate(src):
+            out[u].append(p)
+        for u in sorted(skips, reverse=True):  # a skipped token's edges also leave u
+            self.eps[u] = frozenset({skips[u]}) | self.eps.get(skips[u], frozenset())
+            out[u] += out[skips[u]]
+        par = [1] + [0] * len(parts)  # path lengths from the start: 1 even, 2 odd, 3 both
+        for u, edges in enumerate(out):
+            for p in edges:
+                par[dst[p]] |= 3 if par[u] == 3 else 3 - par[u]
+            for v in self.eps.get(u, ()):
+                par[v] |= par[u]
+        self.parts, self.src, self.dst, self.out, self.par = parts, src, dst, out, par
+        self.end = len(parts)
+
+    def linkable(self, p: int) -> list[int]:
+        """The positions p may link to, nearest end node first, across a
+        span that can have even length; found on first use."""
+        found = self.linked[p]
+        if found is None:
+            parts, ys, dst = self.parts, self.table.partners[self.parts[p]], self.dst
+            if self.par is None:  # flat: the later positions at odd distance
+                found = [k for k in range(p + 1, len(parts), 2) if parts[k] in ys]
+            else:
+                d, src, par = dst[p], self.src, self.par
+                found = [
+                    k for k in range(p + 1, len(parts))
+                    if parts[k] in ys and src[k] >= d and par[d] & par[src[k]]
+                ]
+                found.sort(key=dst.__getitem__)
+            self.linked[p] = found
+        return found
+
+    def reach(self, u: int, t: int, v: int):
+        """Whether some path from node u to node v reduces to ``goal[t:]``."""
+        if u == v and t == self.m:
+            return _STOP
+        key = (u * self.depth + t) * self.width + v
+        move = self.memo.get(key)
+        if move is None:
+            move = self.memo[key] = self._reach(u, t, v)
+        return move
+
+    def _reach(self, u, t, v):
+        m, src, dst, reach = self.m, self.src, self.dst, self.reach
+        if t == m and v in self.eps.get(u, ()):
+            return _STOP
+        for p in self.out[u]:
+            if self.parts[p] in self.below[t] and reach(dst[p], t + 1, v):
+                return (p, -1)
+            for k in self.linkable(p):
+                if dst[k] > v:
+                    break
+                if reach(dst[p], m, src[k]) and reach(dst[k], t, v):
+                    return (p, k)
+        return False
+
+    def reduces(self) -> bool:
+        return bool(self.reach(0, 0, self.end))
+
+    def trees(self, u: int, t: int, v: int):
+        """The ways state (u, t, v) succeeds, in search order, each a tree
+        ``((p, k), inner, rest)`` ending in None.  A span's trees (t =
+        len(goal)) are a lazy stream shared by every context around it."""
+        if t < self.m:
+            return self._trees(u, t, v)
+        if u == v:
+            return (None,)
+        key = u * self.width + v
+        if key not in self.streams:  # a tee that never advances keeps every item
+            self.streams[key] = itertools.tee(self._trees(u, t, v), 1)[0]
+        return self.streams[key].__copy__()
+
+    def _trees(self, u, t, v):
+        m, src, dst, reach = self.m, self.src, self.dst, self.reach
+        if t == m and (u == v or v in self.eps.get(u, ())):
+            yield None
+        for p in self.out[u]:
+            if self.parts[p] in self.below[t] and reach(dst[p], t + 1, v):
+                for rest in self.trees(dst[p], t + 1, v):
+                    yield ((p, -1), None, rest)
+            for k in self.linkable(p):
+                if dst[k] > v:
+                    break
+                if reach(dst[p], m, src[k]) and reach(dst[k], t, v):
+                    for inner in self.trees(dst[p], m, src[k]):
+                        for rest in self.trees(dst[k], t, v):
+                            yield ((p, k), inner, rest)
+
+    def _first(self, u, t, v, links, residue):
+        # the first tree of a state that succeeds, read off the memo
+        while (move := self.reach(u, t, v)) is not _STOP:
+            p, k = move
+            if k < 0:
+                residue.append(p)
+                u, t = self.dst[p], t + 1
+            else:
+                links.append(move)
+                self._first(self.dst[p], self.m, self.src[k], links, residue)
+                u = self.dst[k]
+
+    def witnesses(self, limit: int = DEFAULT_LIMIT) -> list[ReductionWitness]:
+        """The first ``limit`` witnesses in search order, sorted by
+        :attr:`ReductionWitness.sort_key`.  The search reads positions left
+        to right; at each it first keeps the simple type as the next residue
+        element, then links it to its partners from the nearest on, taking
+        inner link sets in the same order."""
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
+        if not self.reduces():
+            return []
+        if limit == 1:
+            links, residue = [], []
+            self._first(0, 0, self.end, links, residue)
+            return [ReductionWitness(frozenset(links), tuple(residue))]
+        found = []
+        for tree in itertools.islice(self.trees(0, 0, self.end), limit):
+            links, residue, todo = [], [], [tree]
+            while todo:
+                tree = todo.pop()
+                if tree is not None:  # links share the search's (p, k) tuples
+                    move, inner, rest = tree
+                    if move[1] < 0:
+                        residue.append(move[0])
+                    else:
+                        links.append(move)
+                    todo += (inner, rest)
+            found.append(ReductionWitness(frozenset(links), tuple(sorted(residue))))
+        self.streams.clear()  # its generators refer back to this search
+        return sorted(found, key=lambda w: w.sort_key)
+
+
+def type_selections(alternatives, target: CompoundType, table: AtomTable):
+    """Yield ``(selection, search)`` for every choice of one type per token
+    that reduces to ``target``, in ``itertools.product`` order; ``search``
+    is the selection's flat :class:`SpanSearch`, whose memos the pick has
+    filled.  Tokens are fixed left to right, keeping an alternative when
+    some choice for the later tokens completes it: first the flat search
+    with every later token's first type, then, if the later tokens have
+    other choices, the lattice with them left open."""
+    return _Picker(alternatives, target, table).walk((), False)
+
+
+class _Picker:
+    """The state of one :func:`type_selections` run."""
+
+    def __init__(self, alternatives, target, table):
+        self.alternatives, self.target, self.table = alternatives, target, table
+        self.n = len(alternatives)
+        self.flats: dict[tuple[int, ...], SpanSearch] = {}
+
+    def fixed(self, choice):  # the lattice with the chosen alternatives only
+        return [(self.alternatives[i][a],) for i, a in enumerate(choice)]
+
+    def flat(self, choice) -> SpanSearch:
+        if choice not in self.flats:
+            self.flats[choice] = SpanSearch(self.fixed(choice), self.target, self.table)
+        return self.flats[choice]
+
+    def completes(self, prefix) -> bool:
+        rest = self.alternatives[len(prefix):]
+        if self.flat(prefix + (0,) * len(rest)).reduces():
+            return True
+        if all(len(a) == 1 for a in rest):  # that was the only completion
+            return False
+        return SpanSearch(self.fixed(prefix) + list(rest), self.target, self.table).reduces()
+
+    def walk(self, prefix, known: bool):
+        # known: some completion of prefix uses an alternative not yet tried
+        alternatives, t = self.alternatives, len(prefix)
+        while t < self.n and len(alternatives[t]) == 1:
+            prefix, t = prefix + (0,), t + 1
+        if t == self.n:
+            search = self.flat(prefix)
+            if search.reduces():
+                yield tuple(alternatives[i][a] for i, a in enumerate(prefix)), search
+            return
+        for a in range(len(alternatives[t])):
+            if (known and a == len(alternatives[t]) - 1) or self.completes(prefix + (a,)):
+                yield from self.walk(prefix + (a,), True)
+                known = False
+
+
 def enumerate_reductions(
-    input: Type,
-    target: CompoundType,
-    table: AtomTable,
-    limit: int = DEFAULT_LIMIT,
+    input: Type, target: CompoundType, table: AtomTable, limit: int = DEFAULT_LIMIT
 ) -> list[ReductionWitness]:
-    """All distinct witnesses reducing ``input`` to ``target`` (up to
-    ``limit``), ordered lexicographically on sorted link lists."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    parts = _flatten(input).parts
-    goal = target.parts
-    n, m = len(parts), len(goal)
-
-    @lru_cache(maxsize=None)
-    def unit(i: int, j: int) -> tuple[frozenset[Link], ...]:
-        # link sets reducing parts[i:j] to the unit
-        if i == j:
-            return (frozenset(),)
-        if (j - i) % 2:
-            return ()
-        out = []
-        for k in range(i + 1, j, 2):
-            if contracts(parts[i], parts[k], table):
-                for inner in unit(i + 1, k):
-                    for rest in unit(k + 1, j):
-                        out.append(inner | rest | {(i, k)})
-        return tuple(out)
-
-    results: list[ReductionWitness] = []
-
-    def assemble(pos: int, t_idx: int, links: frozenset[Link], residue: list[int]):
-        if len(results) >= limit:
-            return
-        if pos == n:
-            if t_idx == m:
-                results.append(ReductionWitness(links, tuple(residue)))
-            return
-        if t_idx < m and simple_leq(parts[pos], goal[t_idx], table):
-            residue.append(pos)
-            assemble(pos + 1, t_idx + 1, links, residue)
-            residue.pop()
-        for k in range(pos + 1, n, 2):
-            if contracts(parts[pos], parts[k], table):
-                for inner in unit(pos + 1, k):
-                    assemble(k + 1, t_idx, links | inner | {(pos, k)}, residue)
-                    if len(results) >= limit:
-                        return
-
-    assemble(0, 0, frozenset(), [])
-    return sorted(results, key=lambda w: w.sort_key)
+    """Witnesses reducing ``input`` to ``target``: the first ``limit`` in
+    search order (see :meth:`SpanSearch.witnesses`), sorted by sorted link
+    list.  Below the limit this is every distinct witness."""
+    return SpanSearch([(input,)], target, table).witnesses(limit)
 
 
 def reduce(input: Type, target: CompoundType, table: AtomTable) -> ReductionWitness | None:
-    """First witness reducing ``input`` to ``target``, or None."""
-    found = enumerate_reductions(input, target, table, limit=1)
+    """First witness in search order reducing ``input`` to ``target``, or None."""
+    found = SpanSearch([(input,)], target, table).witnesses(1)
     return found[0] if found else None
 
 
@@ -162,6 +356,19 @@ def oracle_reduce(input: Type, target: CompoundType, table: AtomTable) -> list[R
 
     walk(tuple(range(len(parts))), frozenset())
     return sorted(results, key=lambda w: w.sort_key)
+
+
+def oracle_selections(alternatives, target: CompoundType, table: AtomTable) -> list:
+    """Brute-force reference for :func:`type_selections`: each selection in
+    ``itertools.product`` order with the witnesses :func:`oracle_reduce`
+    finds, for the selections that have some.  Test-only."""
+    found = []
+    for selection in itertools.product(*alternatives):
+        flat = concat(_flatten(t) for t in selection)
+        witnesses = oracle_reduce(flat, target, table)
+        if witnesses:
+            found.append((selection, witnesses))
+    return found
 
 
 def _validate(parts, w: ReductionWitness):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, batch mode."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -35,6 +36,47 @@ def test_parse_all_enumerates_ambiguity(runner):
     assert r.exit_code == 0
     payload = json.loads(r.output)
     assert len(payload["witnesses"]) == 2
+
+
+def test_parse_all_respects_limit_across_type_selections(runner, tmp_path):
+    # two type selections reduce, with 2 and 3 witnesses; --limit caps the total
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps({
+        "language": "x", "atoms": ["n"],
+        "entries": [{"word": "old", "types": ["n n^l", "n n^l n n^r"]},
+                    {"word": "cats", "types": ["n"]},
+                    {"word": "and", "types": ["n^r n n^l"]}],
+    }))
+    args = ["parse", "old cats and cats", "--lex", str(lex), "--target", "n",
+            "--all", "--format", "json"]
+    every = json.loads(runner.invoke(main, args).output)["witnesses"]
+    assert [w["type"] for w in every] == (
+        ["n n^l n n^r n n^l n"] * 2 + ["n n^l n n^r n n^r n n^l n"] * 3
+    )
+    for limit in (1, 2, 3, 4):
+        r = runner.invoke(main, args + ["--limit", str(limit)])
+        assert r.exit_code == 0
+        got = json.loads(r.output)["witnesses"]
+        assert len(got) == limit
+        assert all(w in every[:2] for w in got[:2]) and all(w in every[2:] for w in got[2:])
+    assert runner.invoke(main, args + ["--limit", "0"]).exit_code == 1
+    # without --all the limit is not used
+    one = [a for a in args if a != "--all"] + ["--limit", "0"]
+    r = runner.invoke(main, one)
+    assert r.exit_code == 0 and json.loads(r.output)["witnesses"][0] in every[:2]
+
+
+@pytest.mark.parametrize("lex, sentence", [
+    ("en", "pigeons eat " + " and ".join(["bread"] * 14) + " eat"),
+    ("ja", "ie ni tuita ga " * 8 + "tegami wo kaita ga"),
+])
+def test_parse_rejects_stress_sentences_quickly(runner, lex, sentence):
+    # exponential for an exhaustive search: Catalan-many link sets on the
+    # coordination, 2^17 type selections on the ja chain
+    t0 = time.perf_counter()
+    r = runner.invoke(main, ["parse", sentence, "--lex", lex])
+    assert r.exit_code == 2 and "not reducible" in r.output
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_parse_unknown_lexicon_exits_1(runner):

@@ -9,8 +9,10 @@ from pregtrans.reduction import (
     ReductionWitness,
     enumerate_reductions,
     oracle_reduce,
+    oracle_selections,
     reduce,
     render_diagram,
+    type_selections,
 )
 
 TABLE = AtomTable({"a", "b", "c", "d"}, [("a", "b")])
@@ -71,6 +73,31 @@ def test_limit_truncates_enumeration():
     t = parse_type("n n^l n n^r n n^l n", NS)
     ws = enumerate_reductions(t, parse_type("n", NS), NS, limit=1)
     assert len(ws) == 1
+
+
+# coordination with four conjuncts: 42 witnesses
+COORDINATION = parse_type("n n^l n" + " n^r n n^l n" * 4, NS)
+SEARCH_FIRST_THREE = [
+    [(1, 4), (2, 3), (5, 8), (6, 7), (9, 12), (10, 11), (13, 16), (14, 15), (17, 18)],
+    [(1, 4), (2, 3), (5, 8), (6, 7), (9, 16), (10, 11), (12, 15), (13, 14), (17, 18)],
+    [(1, 4), (2, 3), (5, 12), (6, 7), (8, 11), (9, 10), (13, 16), (14, 15), (17, 18)],
+]
+
+
+def test_limit_keeps_the_first_witnesses_in_search_order():
+    # limit=k keeps the first k witnesses the search finds, then sorts them;
+    # these are not the lexicographically first k of the full set
+    goal = parse_type("n", NS)
+    full = enumerate_reductions(COORDINATION, goal, NS)
+    assert len(full) == 42
+    first = enumerate_reductions(COORDINATION, goal, NS, limit=3)
+    assert [links_of(w) for w in first] == SEARCH_FIRST_THREE
+    assert first != full[:3]
+    assert links_of(reduce(COORDINATION, goal, NS)) == SEARCH_FIRST_THREE[0]
+    for k in (1, 5, 20, 42, 100):
+        some = enumerate_reductions(COORDINATION, goal, NS, limit=k)
+        assert len(some) == min(k, 42) and set(some) <= set(full)
+        assert [w.sort_key for w in some] == sorted(w.sort_key for w in some)
 
 
 def test_determinism_and_ordering():
@@ -139,3 +166,22 @@ def test_render_dot_deterministic():
     assert dot == render_diagram(t, w, format="dot")
     assert 't0 -- t1;' in dot and 't3 -- t4;' in dot and 't2 -- out [style=dashed];' in dot
     assert dot.startswith("graph reduction {") and dot.rstrip().endswith("}")
+
+
+# ---- type selections over word type alternatives -----------------------------
+
+alternative = st.lists(
+    st.builds(SimpleType, st.sampled_from("abcd"), st.integers(-1, 1)), max_size=3
+).map(lambda parts: CompoundType(tuple(parts)))
+lattices = st.lists(st.lists(alternative, min_size=1, max_size=3, unique=True), max_size=4)
+goals = st.sampled_from([CompoundType(), CompoundType((SimpleType("b"),))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattices, goals)
+def test_type_selections_match_product_loop(alternatives, goal):
+    got = [
+        (selection, set(search.witnesses()))
+        for selection, search in type_selections(alternatives, goal, TABLE)
+    ]
+    assert got == [(s, set(ws)) for s, ws in oracle_selections(alternatives, goal, TABLE)]
