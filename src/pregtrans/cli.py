@@ -20,12 +20,13 @@ from .core import AtomTable, CompoundType, PregroupError, concat, parse_type, re
 from .functors import (
     FunctorSpec,
     NotTranslatableError,
+    apply_functor,
     check_functor_laws,
     load_functor,
     load_wordmap,
     translate_sentence,
 )
-from .lexicon import Lexicon, UnknownWordError, load_lexicon
+from .lexicon import UnknownWordError, load_lexicon
 from .reduction import oracle_selections, reduce, render_diagram, type_selections
 from .semantics import (
     AlphaSpec,
@@ -42,55 +43,19 @@ class CliError(click.ClickException):
     exit_code = EXIT_CONFIG
 
 
-def _resolve_lexicon(name: str) -> Lexicon:
-    path = Path(name)
-    if not path.exists():
-        try:
-            path = bundled.lexicon_path(name)
-        except FileNotFoundError as exc:
-            raise CliError(str(exc)) from exc
+def _configured(step, *args):
+    """``step(*args)``, with a missing data file or bad data in one raised
+    as a configuration error."""
     try:
-        return load_lexicon(path)
-    except PregroupError as exc:
+        return step(*args)
+    except (FileNotFoundError, PregroupError) as exc:
         raise CliError(str(exc)) from exc
 
 
-def _resolve_functor(name: str, src: Lexicon | None, tgt: Lexicon | None):
+def _locate(name: str, bundled_path) -> Path:
+    """The file at path ``name``, or else the bundled data file so named."""
     path = Path(name)
-    defaults = bundled.FUNCTOR_REGISTRY.get(name, {})
-    if not path.exists():
-        try:
-            path = bundled.functor_path(name)
-        except FileNotFoundError as exc:
-            raise CliError(str(exc)) from exc
-    if src is None:
-        if "src" not in defaults:
-            raise CliError(f"functor {name!r} needs an explicit --src lexicon")
-        src = _resolve_lexicon(defaults["src"])
-    if tgt is None:
-        if "tgt" not in defaults:
-            raise CliError(f"functor {name!r} needs an explicit --tgt lexicon")
-        tgt = _resolve_lexicon(defaults["tgt"])
-    try:
-        spec = load_functor(path, src.table, tgt.table)
-    except PregroupError as exc:
-        raise CliError(str(exc)) from exc
-    return spec, src, tgt
-
-
-def _resolve_wordmap(name: str | None, functor_name: str):
-    if name is None:
-        try:
-            return load_wordmap(bundled.wordmap_path(functor_name))
-        except FileNotFoundError as exc:
-            raise CliError(f"functor {functor_name!r} needs an explicit --wordmap") from exc
-    path = Path(name)
-    if not path.exists():
-        try:
-            path = bundled.wordmap_path(name)
-        except FileNotFoundError as exc:
-            raise CliError(str(exc)) from exc
-    return load_wordmap(path)
+    return path if path.exists() else _configured(bundled_path, name)
 
 
 def _sentences(sentence: str | None):
@@ -118,18 +83,12 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     """
     if enumerate_all and limit < 1:
         raise CliError("--limit must be at least 1")
-    lex = _resolve_lexicon(lexicon_name)
-    try:
-        goal = parse_type(target, lex.table)
-    except PregroupError as exc:
-        raise CliError(str(exc)) from exc
+    lex = _configured(load_lexicon, _locate(lexicon_name, bundled.lexicon_path))
+    goal = _configured(parse_type, target, lex.table)
     exit_code = 0
     budget = limit if enumerate_all else 1
     for line in _sentences(sentence):
-        try:
-            alternatives = [lex.alternatives(tok) for tok in line.split()]
-        except UnknownWordError as exc:
-            raise CliError(str(exc)) from exc
+        alternatives = [_configured(lex.alternatives, tok) for tok in line.split()]
         found = []  # (flat type, its rendering, witness)
         for selection, search in type_selections(alternatives, goal, lex.table):
             flat = concat(selection)
@@ -179,10 +138,24 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
 
     Without SENTENCE, reads one sentence per line from standard input.
     """
-    src = _resolve_lexicon(src_name) if src_name else None
-    tgt = _resolve_lexicon(tgt_name) if tgt_name else None
-    functor, src, tgt = _resolve_functor(functor_name, src, tgt)
-    wm = _resolve_wordmap(wordmap_name, functor_name)
+    defaults = bundled.FUNCTOR_REGISTRY.get(functor_name, {})
+    functor_path = _locate(functor_name, bundled.functor_path)
+    lexicons = []
+    for name, role in ((src_name, "src"), (tgt_name, "tgt")):
+        if name is None and role not in defaults:
+            raise CliError(f"functor {functor_name!r} needs an explicit --{role} lexicon")
+        path = _locate(name or defaults[role], bundled.lexicon_path)
+        lexicons.append(_configured(load_lexicon, path))
+    src, tgt = lexicons
+    functor = _configured(load_functor, functor_path, src.table, tgt.table)
+    if wordmap_name is not None:
+        wordmap_path = _locate(wordmap_name, bundled.wordmap_path)
+    else:
+        try:
+            wordmap_path = bundled.wordmap_path(functor_name)
+        except FileNotFoundError as exc:
+            raise CliError(f"functor {functor_name!r} needs an explicit --wordmap") from exc
+    wm = _configured(load_wordmap, wordmap_path)
     exit_code = 0
     for line in _sentences(sentence):
         tokens, bracing = [], []
@@ -267,42 +240,31 @@ def _law_suite() -> list[str]:
     return failures
 
 
+# name, tensor fixture, functor mode, goal, LCG seed of each atom's alpha component
+_SQUARES = (
+    ("adjective-noun", "adj_noun", "homomorphism", "n", {"n": 1}),
+    ("five-word", "mori", "antihomomorphism", "s", {"n": 2, "o1": 2, "o5": 2, "s": 3}),
+)
+
+
 def _naturality_suite(tol: float) -> list[str]:
     failures = []
     en_table = AtomTable({"n", "s", "o1", "o2", "o5"})
     identity_map = {a: parse_type(a, en_table) for a in en_table.atoms}
-
-    # adjective-noun square, homomorphism
-    spaces, tensors = load_tensor_fixture(bundled.tensor_path("adj_noun"))
-    table = AtomTable(dict(spaces.dims).keys())
-    flat = tensors[0].type + tensors[1].type
-    w = reduce(flat, parse_type("n", table), table)
-    hom = FunctorSpec("ja", "en", "homomorphism", identity_map, en_table)
-    dim_n = spaces.dim("n")
-    alpha = AlphaSpec.make({"n": np.eye(dim_n) + 0.2 * lcg_array(1, (dim_n, dim_n))})
-    report = check_naturality(alpha, w, tensors, hom, w, tol)
-    if not report.ok:
-        failures.append(f"adjective-noun square residual {report.max_residual:.3e}")
-
-    # five-word square, anti-homomorphism
-    spaces, tensors = load_tensor_fixture(bundled.tensor_path("mori"))
-    table = AtomTable(dict(spaces.dims).keys())
-    flat = CompoundType()
-    for wt in tensors:
-        flat = flat + wt.type
-    src_w = reduce(flat, parse_type("s", table), table)
-    anti = FunctorSpec("ja", "en", "antihomomorphism", identity_map, en_table)
-    from .functors import apply_antihomomorphism
-
-    image = apply_antihomomorphism(anti, flat)
-    tgt_w = reduce(image, parse_type("s", en_table), en_table)
-    d = spaces.dim("n")
-    mat_n = np.eye(d) + 0.2 * lcg_array(2, (d, d))
-    mat_s = np.eye(spaces.dim("s")) + 0.2 * lcg_array(3, (spaces.dim("s"),) * 2)
-    alpha = AlphaSpec.make({"n": mat_n, "o1": mat_n, "o5": mat_n, "s": mat_s})
-    report = check_naturality(alpha, src_w, tensors, anti, tgt_w, tol)
-    if not report.ok:
-        failures.append(f"five-word square residual {report.max_residual:.3e}")
+    for name, fixture, mode, goal, seeds in _SQUARES:
+        spaces, tensors = load_tensor_fixture(bundled.tensor_path(fixture))
+        table = AtomTable(dict(spaces.dims).keys())
+        flat = concat(wt.type for wt in tensors)
+        src_w = reduce(flat, parse_type(goal, table), table)
+        functor = FunctorSpec("ja", "en", mode, identity_map, en_table)
+        tgt_w = reduce(apply_functor(functor, flat), parse_type(goal, en_table), en_table)
+        alpha = AlphaSpec.make({
+            atom: np.eye(spaces.dim(atom)) + 0.2 * lcg_array(seed, (spaces.dim(atom),) * 2)
+            for atom, seed in seeds.items()
+        })
+        report = check_naturality(alpha, src_w, tensors, functor, tgt_w, tol)
+        if not report.ok:
+            failures.append(f"{name} square residual {report.max_residual:.3e}")
     return failures
 
 
@@ -366,7 +328,7 @@ def cmd_check(suite, tol, max_len, count, fmt):
 @click.argument("lexicon_name")
 def cmd_validate(lexicon_name):
     """Load and validate a lexicon file (or bundled lexicon name)."""
-    lex = _resolve_lexicon(lexicon_name)
+    lex = _configured(load_lexicon, _locate(lexicon_name, bundled.lexicon_path))
     click.echo(
         f"ok: language {lex.language!r}, {len(lex.entries)} entries, "
         f"{len(lex.table.atoms)} atoms, {len(lex.metarules)} metarules"

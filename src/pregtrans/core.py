@@ -10,8 +10,10 @@ morphisms and are flattened before reduction.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -33,6 +35,52 @@ class TypeParseError(PregroupError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+_JSON_KINDS = {dict: "object", list: "list", str: "string", int: "integer", bool: "boolean"}
+_REQUIRED = object()
+
+
+class JsonObject:
+    """A JSON object from a data file, its fields read with their JSON type
+    checked: a decode error, a missing field or a wrong type raises ``error``
+    naming the file and the field."""
+
+    def __init__(self, data, where: str, error: type[PregroupError] = PregroupError, items=None):
+        self.where, self.error = where, error
+        self.data = self.check(data, dict, items)
+
+    @classmethod
+    def read(cls, path, error: type[PregroupError] = PregroupError, items=None) -> "JsonObject":
+        path = Path(path)
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise error(f"{path}: {exc}") from exc
+        return cls(data, str(path), error, items)
+
+    def check(self, value, kind, items=None, name: str | None = None):
+        """``value`` (this object or its field ``name``) if it is of ``kind``
+        and its elements (values, for an object) are of ``items``, if given."""
+        inner = value.values() if isinstance(value, dict) else value
+        if isinstance(value, kind) and (items is None or all(isinstance(v, items) for v in inner)):
+            return value
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
+        expected += f" of {_JSON_KINDS[items]}s" if items is not None else ""
+        where = self.where if name is None else f"{self.where}: field {name!r}"
+        raise self.error(f"{where}: expected a JSON {expected}")
+
+    def get(self, name: str, kind, items=None, default=_REQUIRED):
+        """The field ``name``, checked as :meth:`check` does; a missing
+        field is ``default``, or an error when no default is given."""
+        if name in self.data:
+            return self.check(self.data[name], kind, items, name)
+        if default is _REQUIRED:
+            raise self.error(f"{self.where}: missing field {name!r}")
+        return default
 
 
 _FORBIDDEN = set("^()<>")
@@ -192,10 +240,7 @@ class BracedType:
             raise PregroupError("a braced type needs at least one segment")
 
     def flatten(self) -> CompoundType:
-        flat = CompoundType()
-        for seg in self.segments:
-            flat = flat + seg
-        return flat
+        return concat(self.segments)
 
     def render(self) -> str:
         return " ".join(f"< {seg.render()} >".replace("<  >", "< >") for seg in self.segments)

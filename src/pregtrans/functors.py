@@ -6,11 +6,16 @@ Functor files are JSON: {source_language, target_language, mode,
 atom_map, reversal_mask?, post_metarules?, simple_overrides?}.  Word map
 files are a JSON object token -> replacement string (possibly empty or
 multi-word).
+
+``simple_overrides`` keys are untagged simple types of the source
+grammar, and an override replaces that simple type's image in every mode.
+A translation's goal maps through the same image function as the
+sentence: reversed under an anti-homomorphism, homomorphically under a
+brace-wise functor, and never through the post metarules.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,9 +23,11 @@ from .core import (
     AtomTable,
     BracedType,
     CompoundType,
+    JsonObject,
     PregroupError,
     SimpleType,
     Type,
+    concat,
     left_adjoint,
     parse_type,
     render_type,
@@ -49,7 +56,8 @@ class FunctorSpec:
     target_table: AtomTable
     reversal_mask: tuple[bool, ...] | None = None
     post_metarules: tuple[Metarule, ...] = ()
-    simple_overrides: dict[str, CompoundType] = field(default_factory=dict)
+    # untagged source simple type -> its image, in place of the computed one
+    simple_overrides: dict[SimpleType, CompoundType] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -61,6 +69,19 @@ class FunctorSpec:
         if atom not in self.atom_map:
             raise FunctorError(f"atom {atom!r} is not mapped by the functor")
         return self.atom_map[atom]
+
+    @property
+    def reverses(self) -> bool:
+        """Whether a whole type, such as a translation's goal, maps in reverse
+        order: only under an anti-homomorphism, not under a brace-wise one."""
+        return self.mode == "antihomomorphism"
+
+    def mask(self, k: int) -> tuple[bool, ...]:
+        """Which of ``k`` brace segments map in reverse order."""
+        mask = self.reversal_mask if self.mode == "bracewise" else (self.reverses,)
+        if len(mask) != k:
+            raise FunctorError(f"{k} brace segments, {self.mode} mask of length {len(mask)}")
+        return mask
 
     def check_total(self, source_table: AtomTable):
         missing = sorted(source_table.atoms - set(self.atom_map))
@@ -80,30 +101,37 @@ class WordMap:
 
 
 def load_wordmap(path: str | Path) -> WordMap:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return WordMap(tuple(sorted(data.items())))
+    return WordMap(tuple(sorted(JsonObject.read(path, FunctorError, items=str).data.items())))
 
 
 def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTable) -> FunctorSpec:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = JsonObject.read(path, FunctorError)
     atom_map = {
-        atom: parse_type(text, target_table) for atom, text in data["atom_map"].items()
+        atom: parse_type(text, target_table)
+        for atom, text in doc.get("atom_map", dict, items=str).items()
     }
-    mask = data.get("reversal_mask")
+    mask = doc.get("reversal_mask", list, items=bool, default=None)
     rules = tuple(
-        Metarule.from_json(raw, target_table) for raw in data.get("post_metarules", [])
+        Metarule.from_json(raw, target_table)
+        for raw in doc.get("post_metarules", list, items=dict, default=[])
     )
-    overrides = {
-        key: parse_type(text, target_table)
-        for key, text in data.get("simple_overrides", {}).items()
-    }
+    overrides = {}
+    for key, text in doc.get("simple_overrides", dict, items=str, default={}).items():
+        try:
+            simple = parse_type(key, source_table)
+        except PregroupError:
+            simple = None
+        if not isinstance(simple, CompoundType) or len(simple) != 1 or simple[0].beta:
+            raise FunctorError(f"{doc.where}: field 'simple_overrides': key {key!r} is not "
+                               "an untagged simple type of the source grammar")
+        overrides[simple[0]] = parse_type(text, target_table)
     spec = FunctorSpec(
-        data["source_language"],
-        data["target_language"],
-        data["mode"],
+        doc.get("source_language", str),
+        doc.get("target_language", str),
+        doc.get("mode", str),
         atom_map,
         target_table,
-        tuple(bool(b) for b in mask) if mask is not None else None,
+        tuple(mask) if mask is not None else None,
         rules,
         overrides,
     )
@@ -111,43 +139,37 @@ def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTa
     return spec
 
 
-def _power(image: CompoundType, z: int) -> CompoundType:
-    while z < 0:
-        image = left_adjoint(image)
-        z += 1
-    while z > 0:
-        image = right_adjoint(image)
-        z -= 1
-    return image
-
-
-def _tag(image: CompoundType, beta: bool) -> CompoundType:
-    if not beta:
-        return image
-    return CompoundType(tuple(SimpleType(p.atom, p.exponent, True) for p in image.parts))
+def _image(f: FunctorSpec, t: CompoundType, reverse: bool) -> CompoundType:
+    """The image of ``t``, part by part: a part ``a^z`` maps to its
+    override, or else to the z-th adjoint of F(a) (exponents shifted by z,
+    order reversed when z is odd), and a β tag on the part tags its whole
+    image.  With ``reverse`` the parts map in reverse order with negated
+    exponents, as under an anti-homomorphism."""
+    overrides = f.simple_overrides
+    out = []
+    for p in reversed(t.parts) if reverse else t.parts:
+        image = overrides.get(SimpleType(p.atom, p.exponent)) if overrides else None
+        if image is None:
+            z = -p.exponent if reverse else p.exponent
+            image = f.image_of_atom(p.atom).parts
+            if z % 2:
+                image = image[::-1]
+        else:
+            z, image = 0, image.parts
+        if z or p.beta:
+            image = [SimpleType(q.atom, q.exponent + z, q.beta or p.beta) for q in image]
+        out.extend(image)
+    return CompoundType(tuple(out))
 
 
 def apply_homomorphism(f: FunctorSpec, t: CompoundType) -> CompoundType:
-    """Map each atom through the functor, applying exponents to the image
-    by the adjoint laws; part order is preserved."""
-    out = CompoundType()
-    for p in t.parts:
-        key = SimpleType(p.atom, p.exponent).render()
-        if key in f.simple_overrides:
-            image = f.simple_overrides[key]
-        else:
-            image = _power(f.image_of_atom(p.atom), p.exponent)
-        out = out + _tag(image, p.beta)
-    return out
+    """F(xy) = F(x)F(y); adjoints map to the same adjoints."""
+    return _image(f, t, False)
 
 
 def apply_antihomomorphism(f: FunctorSpec, t: CompoundType) -> CompoundType:
     """Phi(xy) = Phi(y)Phi(x); left adjoints map to right adjoints."""
-    out = CompoundType()
-    for p in reversed(t.parts):
-        image = _power(f.image_of_atom(p.atom), -p.exponent)
-        out = out + _tag(image, p.beta)
-    return out
+    return _image(f, t, True)
 
 
 def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
@@ -155,14 +177,9 @@ def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
     is true, then apply the post metarules to each segment once."""
     if f.mode != "bracewise":
         raise FunctorError("functor is not brace-wise")
-    mask = f.reversal_mask
-    if len(mask) != len(t.segments):
-        raise FunctorError(
-            f"reversal mask has length {len(mask)}, braced type has k={len(t.segments)}"
-        )
     segments = []
-    for reverse, seg in zip(mask, t.segments):
-        image = apply_antihomomorphism(f, seg) if reverse else apply_homomorphism(f, seg)
+    for reverse, seg in zip(f.mask(len(t.segments)), t.segments):
+        image = _image(f, seg, reverse)
         for rule in f.post_metarules:
             image = rule.apply_once(image, f.target_table)
         segments.append(image)
@@ -170,13 +187,9 @@ def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
 
 
 def apply_functor(f: FunctorSpec, t: Type) -> Type:
-    if f.mode == "homomorphism":
-        return apply_homomorphism(f, t.flatten() if isinstance(t, BracedType) else t)
-    if f.mode == "antihomomorphism":
-        return apply_antihomomorphism(f, t.flatten() if isinstance(t, BracedType) else t)
-    if not isinstance(t, BracedType):
-        t = BracedType((t,))
-    return apply_bracewise(f, t)
+    if f.mode == "bracewise":
+        return apply_bracewise(f, t if isinstance(t, BracedType) else BracedType((t,)))
+    return _image(f, t.flatten() if isinstance(t, BracedType) else t, f.reverses)
 
 
 @dataclass(frozen=True)
@@ -208,7 +221,7 @@ def check_functor_laws(f: FunctorSpec, samples: list[CompoundType]) -> FunctorLa
                 LawViolation(law, render_type(sample), render_type(lhs), render_type(rhs))
             )
 
-    anti = f.mode == "antihomomorphism"
+    anti = f.reverses
     apply = apply_antihomomorphism if anti else apply_homomorphism
     for x in samples:
         for y in samples:
@@ -242,12 +255,12 @@ class TranslationResult:
         return " ".join(self.words)
 
 
-def _segments_from_bracing(tokens, bracing):
+def _segment_bounds(n: int, bracing) -> list[tuple[int, int]]:
     cuts = list(bracing or ())
-    if any(c <= 0 or c >= len(tokens) for c in cuts) or cuts != sorted(set(cuts)):
-        raise FunctorError(f"bracing {cuts} does not partition {len(tokens)} tokens")
-    bounds = [0] + cuts + [len(tokens)]
-    return [tuple(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if any(c <= 0 or c >= n for c in cuts) or cuts != sorted(set(cuts)):
+        raise FunctorError(f"bracing {cuts} does not partition {n} tokens")
+    bounds = [0] + cuts + [n]
+    return list(zip(bounds, bounds[1:]))
 
 
 def translate_sentence(
@@ -265,18 +278,8 @@ def translate_sentence(
     target word sequence (segments are emitted reversed where the functor
     reverses them).  A failing target reduction is reported as a
     diagnostic, not an error."""
-    segments = _segments_from_bracing(tokens, bracing)
-    if f.mode == "bracewise":
-        if len(segments) != len(f.reversal_mask):
-            raise FunctorError(
-                f"{len(segments)} brace segments, mask of length {len(f.reversal_mask)}"
-            )
-        mask = f.reversal_mask
-    else:
-        if len(segments) != 1:
-            raise FunctorError(f"{f.mode} translation expects a single segment")
-        mask = (f.mode == "antihomomorphism",)
-
+    segments = _segment_bounds(len(tokens), bracing)
+    mask = f.mask(len(segments))
     goal = parse_type(source_target, lex_src.table)
     alternatives = [lex_src.alternatives(tok) for tok in tokens]
     for chosen, search in type_selections(alternatives, goal, lex_src.table):
@@ -288,22 +291,12 @@ def translate_sentence(
         )
     witness = search.witnesses(1)[0]
 
-    seg_types = []
-    pos = 0
-    for seg in segments:
-        t = CompoundType()
-        for _ in seg:
-            t = t + chosen[pos]
-            pos += 1
-        seg_types.append(t)
-    source_braced = BracedType(tuple(seg_types))
+    source_braced = BracedType(tuple(concat(chosen[a:b]) for a, b in segments))
     translated = apply_functor(f, source_braced)
     if not isinstance(translated, BracedType):
         translated = BracedType((translated,))
 
-    goal_image = CompoundType()
-    for p in goal.parts:
-        goal_image = goal_image + f.image_of_atom(p.atom)
+    goal_image = _image(f, goal, f.reverses)
     target_witness = reduce(translated.flatten(), goal_image, lex_tgt.table)
     diagnostic = None
     if target_witness is None:
@@ -313,8 +306,8 @@ def translate_sentence(
         )
 
     words = []
-    for reverse, seg in zip(mask, segments):
-        for tok in reversed(seg) if reverse else seg:
+    for reverse, (a, b) in zip(mask, segments):
+        for tok in reversed(tokens[a:b]) if reverse else tokens[a:b]:
             image = wm.get(tok)
             if image:
                 words.append(image)

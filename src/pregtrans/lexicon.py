@@ -16,6 +16,7 @@ from pathlib import Path
 from .core import (
     AtomTable,
     CompoundType,
+    JsonObject,
     PregroupError,
     SimpleType,
     parse_type,
@@ -311,12 +312,8 @@ class Lexicon:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return Lexicon.from_dict(data, source=str(path))
+    doc = JsonObject.read(path, LexiconError)
+    return Lexicon.from_dict(doc.data, source=doc.where)
 
 
 def save_lexicon(lex: Lexicon, path: str | Path):

@@ -9,8 +9,7 @@ generated by the 64-bit LCG below so fixtures reproduce bit-exactly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,9 @@ import numpy as np
 from .core import (
     AtomTable,
     CompoundType,
+    JsonObject,
     PregroupError,
+    concat,
     parse_type,
     render_type,
 )
@@ -137,9 +138,7 @@ def interpret(
 ) -> np.ndarray:
     """Contract every linked axis pair of the sentence tensor, leaving the
     residue axes in order: the meaning of the reduced phrase."""
-    flat = CompoundType()
-    for wt in tensors:
-        flat = flat + wt.type
+    flat = concat(wt.type for wt in tensors)
     n = len(flat)
     if not witness.covers(n):
         raise SemanticsError("witness does not match the concatenated word types")
@@ -241,12 +240,20 @@ def apply_alpha(
     if reverse:
         data = np.transpose(data, tuple(range(data.ndim - 1, -1, -1)))
         source_parts = tuple(reversed(source_parts))
-    for k, (src, img) in enumerate(zip(source_parts, image_type.parts)):
-        mat = alpha.component(src.atom)
-        if img.exponent % 2:
+    axes = zip((p.atom for p in source_parts), (p.exponent for p in image_type.parts))
+    return WordTensor(t.word, image_type, _carry(alpha, data, axes))
+
+
+def _carry(alpha: AlphaSpec, data: np.ndarray, axes) -> np.ndarray:
+    """Transform axis k of ``data`` by the component map of the k-th atom
+    in ``axes`` (atom, exponent) pairs, or by its inverse transpose where
+    the exponent is odd, so every epsilon pairing is preserved."""
+    for k, (atom, exponent) in enumerate(axes):
+        mat = alpha.component(atom)
+        if exponent % 2:
             mat = np.linalg.inv(mat).T
         data = np.moveaxis(np.tensordot(mat, data, axes=(1, k)), 0, k)
-    return WordTensor(t.word, image_type, data)
+    return data
 
 
 @dataclass(frozen=True)
@@ -284,36 +291,24 @@ def check_naturality(
         tgt_witness.residue
     ):
         raise SemanticsError("source and target witnesses do not correspond")
-    if functor.mode == "homomorphism":
-        reverse = False
-    elif functor.mode == "antihomomorphism":
-        reverse = True
-    else:
+    if functor.mode == "bracewise":
         raise SemanticsError("naturality checks support homomorphism and anti-homomorphism modes")
+    reverse = functor.reverses
 
     src_spaces = _spaces_from_tensors(src_tensors)
-    flat = CompoundType()
-    for wt in src_tensors:
-        flat = flat + wt.type
+    flat = concat(wt.type for wt in src_tensors)
 
     # reduce in the source, then translate the residue
     meaning = interpret(src_witness, src_tensors, src_spaces)
-    for k, idx in enumerate(src_witness.residue):
-        part = flat[idx]
-        mat = alpha.component(part.atom)
-        if part.exponent % 2:
-            mat = np.linalg.inv(mat).T
-        meaning = np.moveaxis(np.tensordot(mat, meaning, axes=(1, k)), 0, k)
+    residue = [flat[i] for i in src_witness.residue]
+    meaning = _carry(alpha, meaning, ((p.atom, p.exponent) for p in residue))
     if reverse and meaning.ndim > 1:
         meaning = np.transpose(meaning, tuple(range(meaning.ndim - 1, -1, -1)))
 
     # translate word-wise, then reduce in the target
     image = apply_antihomomorphism if reverse else apply_homomorphism
-    translated = [
-        apply_alpha(alpha, wt, image(functor, wt.type), reverse=reverse) for wt in src_tensors
-    ]
-    if reverse:
-        translated = list(reversed(translated))
+    words = reversed(src_tensors) if reverse else src_tensors
+    translated = [apply_alpha(alpha, wt, image(functor, wt.type), reverse=reverse) for wt in words]
     tgt_spaces = _spaces_from_tensors(translated)
     target_meaning = interpret(tgt_witness, translated, tgt_spaces)
 
@@ -330,18 +325,23 @@ def check_naturality(
 
 
 def load_tensor_fixture(path: str | Path) -> tuple[SpaceAssignment, list[WordTensor]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    dims = {atom: int(d) for atom, d in data["spaces"].items()}
+    doc = JsonObject.read(path, SemanticsError)
+    dims = doc.get("spaces", dict, items=int)
     spaces = SpaceAssignment.make(dims)
     table = AtomTable(dims.keys())
     tensors = []
-    for raw in data["words"]:
-        t = parse_type(raw["type"], table)
+    for i, raw in enumerate(doc.get("words", list, items=dict)):
+        word = JsonObject(raw, f"{doc.where}: words[{i}]", SemanticsError)
+        t = parse_type(word.get("type", str), table)
         shape = spaces.shape_of(t)
-        payload = raw["data"]
+        payload = word.get("data", (list, dict))
         if isinstance(payload, dict):
-            array = lcg_array(int(payload["seed"]), shape)
+            seed = JsonObject(payload, f"{word.where}: field 'data'", SemanticsError)
+            array = lcg_array(seed.get("seed", int), shape)
         else:
-            array = np.asarray(payload, dtype=float)
-        tensors.append(make_word_tensor(raw["word"], t, array, spaces))
+            try:
+                array = np.asarray(payload, dtype=float)
+            except ValueError as exc:
+                raise SemanticsError(f"{word.where}: field 'data': {exc}") from exc
+        tensors.append(make_word_tensor(word.get("word", str), t, array, spaces))
     return spaces, tensors

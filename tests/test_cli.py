@@ -146,6 +146,40 @@ def test_translate_unknown_functor_exits_1(runner):
     assert r.exit_code == 1
 
 
+def test_translate_goal_maps_through_the_functor(runner):
+    # F(n^r o5) = o5 n^l under the anti-homomorphism, not n o5
+    r = runner.invoke(main, ["translate", "ni", "--functor", "jp-en-anti", "--target", "n^r o5"])
+    assert r.exit_code == 0, r.output
+
+
+FUNCTOR = {"source_language": "ja", "target_language": "en", "mode": "antihomomorphism",
+           "atom_map": {a: a for a in ["n", "s", "o1", "o2", "o5"]}}
+
+
+@pytest.mark.parametrize("functor, wordmap, message", [
+    ({k: v for k, v in FUNCTOR.items() if k != "atom_map"}, None, "missing field 'atom_map'"),
+    (FUNCTOR, '{"mori": "forest", "neko": ', "line 1"),
+    ({**FUNCTOR, "simple_overrides": {"zz^l": "n"}}, None, "'zz^l'"),
+    ({**FUNCTOR, "reversal_mask": "yes"}, None, "field 'reversal_mask'"),
+    (FUNCTOR, '{"mori": 1}', "expected a JSON object of strings"),
+])
+def test_translate_bad_data_files_exit_1_without_traceback(
+    runner, tmp_path, functor, wordmap, message
+):
+    functor_path = tmp_path / "functor.json"
+    functor_path.write_text(json.dumps(functor))
+    args = ["translate", "mori", "--functor", str(functor_path), "--src", "ja_mini",
+            "--tgt", "en", "--target", "n"]
+    if wordmap is None:
+        args += ["--wordmap", "jp-en-anti"]
+    else:
+        (tmp_path / "wordmap.json").write_text(wordmap)
+        args += ["--wordmap", str(tmp_path / "wordmap.json")]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert message in r.output and str(tmp_path) in r.output
+
+
 # ---- check / validate ----------------------------------------------------------
 
 def test_check_laws(runner):

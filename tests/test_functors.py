@@ -1,14 +1,26 @@
 """Translation functors: images, laws, brace-wise application, end-to-end."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pregtrans import data as bundled
-from pregtrans.core import AtomTable, CompoundType, parse_type, render_type
+from pregtrans.core import (
+    AtomTable,
+    CompoundType,
+    SimpleType,
+    left_adjoint,
+    parse_type,
+    render_type,
+    right_adjoint,
+)
 from pregtrans.functors import (
     FunctorError,
     FunctorSpec,
     NotTranslatableError,
     WordMap,
+    _image,
     apply_antihomomorphism,
     apply_bracewise,
     apply_functor,
@@ -105,6 +117,80 @@ def test_apply_functor_dispatch():
     assert apply_functor(f, flat) == apply_antihomomorphism(f, flat)
 
 
+# ---- the image function against the iterated-adjoint reference -------------------
+
+def reference_image(f, t, reverse):
+    """Part by part: the adjoint laws applied one step at a time, then the
+    part's β tag spread over the whole image."""
+    out = CompoundType()
+    for p in reversed(t.parts) if reverse else t.parts:
+        image = f.atom_map[p.atom]
+        z = -p.exponent if reverse else p.exponent
+        while z < 0:
+            image = left_adjoint(image)
+            z += 1
+        while z > 0:
+            image = right_adjoint(image)
+            z -= 1
+        if p.beta:
+            image = CompoundType(tuple(SimpleType(q.atom, q.exponent, True) for q in image.parts))
+        out = out + image
+    return out
+
+
+IMAGE_TARGET = AtomTable({"x", "y"})
+target_simples = st.builds(SimpleType, st.sampled_from("xy"), st.integers(-2, 2), st.booleans())
+atom_images = st.lists(target_simples, max_size=3).map(lambda ps: CompoundType(tuple(ps)))
+source_types = st.lists(
+    st.builds(SimpleType, st.sampled_from("abc"), st.integers(-3, 3), st.booleans()), max_size=6
+).map(lambda ps: CompoundType(tuple(ps)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({a: atom_images for a in "abc"}), source_types, st.booleans())
+def test_image_matches_iterated_adjoints(atom_map, t, reverse):
+    f = FunctorSpec("x", "y", "homomorphism", atom_map, IMAGE_TARGET)
+    assert _image(f, t, reverse) == reference_image(f, t, reverse)
+
+
+# ---- overrides and the goal image ---------------------------------------------------
+
+def write_functor(tmp_path, mode, overrides):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({
+        "source_language": "x", "target_language": "y", "mode": mode,
+        "atom_map": {"n": "n", "s": "s", "o5": "o5"}, "simple_overrides": overrides,
+    }))
+    return path
+
+
+def test_override_applies_in_antihomomorphism_mode(tmp_path):
+    table = AtomTable({"n", "s", "o5"})
+    f = load_functor(write_functor(tmp_path, "antihomomorphism", {"n^r": "s"}), table, table)
+    assert render_type(apply_antihomomorphism(f, parse_type("n^r o5", table))) == "o5 s"
+    # the part's β tag still applies to the override
+    assert render_type(apply_antihomomorphism(f, parse_type("b(n)^r", table))) == "b(s)"
+
+
+@pytest.mark.parametrize("key", ["zz^l", "n n", "b(n)", "< n >"])
+def test_override_key_must_be_an_untagged_source_simple_type(tmp_path, key):
+    table = AtomTable({"n", "s", "o5"})
+    with pytest.raises(FunctorError, match="simple_overrides"):
+        load_functor(write_functor(tmp_path, "homomorphism", {key: "s"}), table, table)
+
+
+def test_goal_maps_through_the_functor():
+    src = load_lexicon(bundled.lexicon_path("ja_mini"))
+    tgt = load_lexicon(bundled.lexicon_path("en"))
+    wm = WordMap((("ni", "in"),))
+    identity = {a: parse_type(a, tgt.table) for a in src.table.atoms}
+    for mode, image in (("antihomomorphism", "o5 n^l"), ("homomorphism", "n^r o5")):
+        f = FunctorSpec("ja", "en", mode, identity, tgt.table)
+        res = translate_sentence(src, tgt, f, wm, ["ni"], source_target="n^r o5")
+        assert render_type(res.translated) == f"< {image} >"
+        assert res.diagnostic is None and res.target_witness is not None
+
+
 # ---- functor laws -------------------------------------------------------------
 
 def test_homomorphism_laws_hold_for_identity_map():
@@ -119,6 +205,16 @@ def test_antihomomorphism_laws_hold():
     spec = FunctorSpec("x", "y", "antihomomorphism", {a: parse_type(a, en) for a in "ns"}, en)
     samples = [parse_type(t, en) for t in ["n", "n^l", "n n^r s", "s^l^l"]]
     assert check_functor_laws(spec, samples).ok
+
+
+def test_laws_hold_when_an_override_equals_the_computed_image():
+    en = AtomTable({"n", "s"})
+    samples = [parse_type(t, en) for t in ["n", "n^l", "n n^l s", "n^l^l"]]
+    for mode, image in (("homomorphism", "n^l"), ("antihomomorphism", "n^r")):
+        overrides = {SimpleType("n", -1): parse_type(image, en)}
+        spec = FunctorSpec("x", "y", mode, {a: parse_type(a, en) for a in "ns"}, en,
+                           simple_overrides=overrides)
+        assert check_functor_laws(spec, samples).ok, mode
 
 
 def test_word_order_obstruction_flagged():

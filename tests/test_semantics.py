@@ -1,6 +1,7 @@
 """Tensor semantics: contraction, snake identities, naturality squares."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -263,3 +264,22 @@ def test_naturality_rejects_bracewise_mode():
     brace = FunctorSpec("ja", "en", "bracewise", IDENTITY_MAP, EN, reversal_mask=(True,))
     with pytest.raises(SemanticsError):
         check_naturality(AlphaSpec.make({"n": np.eye(3)}), w, tensors, brace, w, 1e-9)
+
+
+# ---- tensor fixture files ------------------------------------------------------------
+
+@pytest.mark.parametrize("text, message", [
+    ('{"spaces": {"n": 2}, "words": [', "line 1"),
+    (json.dumps({"spaces": {"n": 2}}), "missing field 'words'"),
+    (json.dumps({"spaces": {"n": "2"}, "words": []}), "field 'spaces': expected"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": [1, "x"]}]}),
+     "words[0]: field 'data'"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": {"seed": 1.5}}]}),
+     "words[0]: field 'data': field 'seed'"),
+])
+def test_bad_tensor_fixture_names_file_and_field(tmp_path, text, message):
+    path = tmp_path / "fixture.json"
+    path.write_text(text)
+    with pytest.raises(SemanticsError) as info:
+        load_tensor_fixture(path)
+    assert str(path) in str(info.value) and message in str(info.value)
