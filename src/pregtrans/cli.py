@@ -16,7 +16,15 @@ import click
 import numpy as np
 
 from . import data as bundled
-from .core import AtomTable, CompoundType, PregroupError, concat, parse_type, render_type
+from .core import (
+    AtomTable,
+    CompoundType,
+    PregroupError,
+    concat,
+    parse_plain_type,
+    parse_type,
+    render_type,
+)
 from .functors import (
     FunctorSpec,
     NotTranslatableError,
@@ -58,6 +66,14 @@ def _locate(name: str, bundled_path) -> Path:
     return path if path.exists() else _configured(bundled_path, name)
 
 
+def _goal(target: str, table: AtomTable) -> CompoundType:
+    """The ``--target`` type, which must not have brace segments."""
+    try:
+        return parse_plain_type(target, table)
+    except PregroupError as exc:
+        raise CliError(f"--target {target!r}: {exc}") from exc
+
+
 def _sentences(sentence: str | None):
     if sentence is not None:
         return [sentence]
@@ -84,7 +100,7 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     if enumerate_all and limit < 1:
         raise CliError("--limit must be at least 1")
     lex = _configured(load_lexicon, _locate(lexicon_name, bundled.lexicon_path))
-    goal = _configured(parse_type, target, lex.table)
+    goal = _goal(target, lex.table)
     exit_code = 0
     budget = limit if enumerate_all else 1
     for line in _sentences(sentence):
@@ -147,6 +163,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
         path = _locate(name or defaults[role], bundled.lexicon_path)
         lexicons.append(_configured(load_lexicon, path))
     src, tgt = lexicons
+    _goal(target, src.table)  # a bad --target fails before any sentence is read
     functor = _configured(load_functor, functor_path, src.table, tgt.table)
     if wordmap_name is not None:
         wordmap_path = _locate(wordmap_name, bundled.wordmap_path)

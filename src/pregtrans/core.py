@@ -82,6 +82,19 @@ class JsonObject:
             raise self.error(f"{self.where}: missing field {name!r}")
         return default
 
+    def wrap(self, name: str, step, *args):
+        """``step(*args)``, with a :class:`PregroupError` from it raised as
+        ``error`` naming the file and the field ``name``."""
+        try:
+            return step(*args)
+        except PregroupError as exc:
+            raise self.error(f"{self.where}: field {name!r}: {exc}") from exc
+
+    def type(self, name: str, table: "AtomTable") -> "CompoundType":
+        """The field ``name``: a type string without brace segments, parsed
+        against ``table``."""
+        return self.wrap(name, parse_plain_type, self.get(name, str), table)
+
 
 _FORBIDDEN = set("^()<>")
 
@@ -339,6 +352,14 @@ def parse_type(text: str, table: AtomTable) -> Type:
     if braced:
         return BracedType(tuple(segments))
     return CompoundType(tuple(current))
+
+
+def parse_plain_type(text: str, table: AtomTable) -> CompoundType:
+    """Parse a type string where brace segments are not allowed."""
+    t = parse_type(text, table)
+    if isinstance(t, BracedType):
+        raise TypeParseError("brace segments are not allowed here", text.index("<"))
+    return t
 
 
 def render_type(t: Type) -> str:

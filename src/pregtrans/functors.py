@@ -29,6 +29,7 @@ from .core import (
     Type,
     concat,
     left_adjoint,
+    parse_plain_type,
     parse_type,
     render_type,
     right_adjoint,
@@ -92,12 +93,16 @@ class FunctorSpec:
 @dataclass(frozen=True)
 class WordMap:
     pairs: tuple[tuple[str, str], ...]
+    _index: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.pairs))
 
     def get(self, token: str) -> str:
-        for k, v in self.pairs:
-            if k == token:
-                return v
-        raise FunctorError(f"word map has no entry for {token!r}")
+        try:
+            return self._index[token]
+        except KeyError:
+            raise FunctorError(f"word map has no entry for {token!r}") from None
 
 
 def load_wordmap(path: str | Path) -> WordMap:
@@ -106,26 +111,33 @@ def load_wordmap(path: str | Path) -> WordMap:
 
 def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTable) -> FunctorSpec:
     doc = JsonObject.read(path, FunctorError)
-    atom_map = {
-        atom: parse_type(text, target_table)
-        for atom, text in doc.get("atom_map", dict, items=str).items()
-    }
+    images = JsonObject(
+        doc.get("atom_map", dict, items=str), f"{doc.where}: field 'atom_map'", FunctorError
+    )
+    atom_map = {atom: images.type(atom, target_table) for atom in images.data}
     mask = doc.get("reversal_mask", list, items=bool, default=None)
     rules = tuple(
-        Metarule.from_json(raw, target_table)
+        doc.wrap("post_metarules", Metarule.from_json, raw, target_table)
         for raw in doc.get("post_metarules", list, items=dict, default=[])
     )
+    replacements = JsonObject(
+        doc.get("simple_overrides", dict, items=str, default={}),
+        f"{doc.where}: field 'simple_overrides'",
+        FunctorError,
+    )
     overrides = {}
-    for key, text in doc.get("simple_overrides", dict, items=str, default={}).items():
+    for key in replacements.data:
         try:
             simple = parse_type(key, source_table)
         except PregroupError:
             simple = None
         if not isinstance(simple, CompoundType) or len(simple) != 1 or simple[0].beta:
-            raise FunctorError(f"{doc.where}: field 'simple_overrides': key {key!r} is not "
+            raise FunctorError(f"{replacements.where}: key {key!r} is not "
                                "an untagged simple type of the source grammar")
-        overrides[simple[0]] = parse_type(text, target_table)
-    spec = FunctorSpec(
+        overrides[simple[0]] = replacements.type(key, target_table)
+    spec = doc.wrap(
+        "mode",
+        FunctorSpec,
         doc.get("source_language", str),
         doc.get("target_language", str),
         doc.get("mode", str),
@@ -135,7 +147,7 @@ def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTa
         rules,
         overrides,
     )
-    spec.check_total(source_table)
+    doc.wrap("atom_map", spec.check_total, source_table)
     return spec
 
 
@@ -280,7 +292,7 @@ def translate_sentence(
     diagnostic, not an error."""
     segments = _segment_bounds(len(tokens), bracing)
     mask = f.mask(len(segments))
-    goal = parse_type(source_target, lex_src.table)
+    goal = parse_plain_type(source_target, lex_src.table)
     alternatives = [lex_src.alternatives(tok) for tok in tokens]
     for chosen, search in type_selections(alternatives, goal, lex_src.table):
         break

@@ -19,7 +19,7 @@ from .core import (
     JsonObject,
     PregroupError,
     SimpleType,
-    parse_type,
+    parse_plain_type,
     render_type,
 )
 
@@ -108,7 +108,8 @@ class Metarule:
     def _replacement(self, table: AtomTable) -> CompoundType:
         # an atom-expansion's replacement, parsed once per rule
         if self._parsed is None:
-            object.__setattr__(self, "_parsed", parse_type(self.param_dict["replacement"], table))
+            replacement = parse_plain_type(self.param_dict["replacement"], table)
+            object.__setattr__(self, "_parsed", replacement)
         return self._parsed
 
     def apply(self, t: CompoundType, table: AtomTable) -> list[CompoundType]:
@@ -278,14 +279,9 @@ class Lexicon:
             types = []
             for text in raw.get("types", []):
                 try:
-                    t = parse_type(text, table)
+                    types.append(parse_plain_type(text, table))
                 except PregroupError as exc:
                     errors.append(f"word {word!r}: {exc}")
-                    continue
-                if not isinstance(t, CompoundType):
-                    errors.append(f"word {word!r}: braced types not allowed in entries")
-                    continue
-                types.append(t)
             if not types:
                 errors.append(f"word {word!r} has no valid types")
                 continue
@@ -303,7 +299,7 @@ class Lexicon:
         empty_words = []
         for text in data.get("empty_words", []):
             try:
-                empty_words.append(parse_type(text, table))
+                empty_words.append(parse_plain_type(text, table))
             except PregroupError as exc:
                 errors.append(f"empty word: {exc}")
         if errors:

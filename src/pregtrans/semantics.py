@@ -2,6 +2,10 @@
 word tensors, reduction witnesses as epsilon contractions, and numeric
 naturality checks for translations.
 
+``interpret`` contracts in an order read off the witness, with no
+contraction-path search, and each alpha component is inverted once, when
+its :class:`AlphaSpec` is made.
+
 Tensor fixture files are JSON {spaces: {atom: dim}, words: [{word, type,
 data}]} where data is either nested arrays or {"seed": n}; seeded data is
 generated by the 64-bit LCG below so fixtures reproduce bit-exactly.
@@ -9,7 +13,8 @@ generated by the 64-bit LCG below so fixtures reproduce bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +25,6 @@ from .core import (
     JsonObject,
     PregroupError,
     concat,
-    parse_type,
     render_type,
 )
 from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
@@ -36,18 +40,20 @@ class SemanticsError(PregroupError):
     pass
 
 
-def lcg_floats(seed: int, count: int) -> list[float]:
-    state = seed & _MASK64
-    out = []
-    for _ in range(count):
-        state = (state * LCG_MULTIPLIER + LCG_INCREMENT) & _MASK64
-        out.append((state >> 11) * 2.0**-52 - 1.0)
-    return out
-
-
 def lcg_array(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The first prod(shape) LCG values after ``seed``, filled row-major.
+
+    State i is a^(i+1)·seed + c·(1 + a + … + a^i) mod 2^64, computed all at
+    once: uint64 products and sums wrap mod 2^64, so every state is exact."""
     size = int(np.prod(shape)) if shape else 1
-    return np.array(lcg_floats(seed, size)).reshape(shape)
+    powers = np.cumprod(np.full(size, LCG_MULTIPLIER, dtype=np.uint64))  # a^1 .. a^size
+    geometric = np.cumsum(np.concatenate(([np.uint64(1)], powers[:-1])))  # 1 + a + … + a^i
+    state = powers * np.uint64(seed & _MASK64) + geometric * np.uint64(LCG_INCREMENT)
+    return ((state >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(shape)
+
+
+def lcg_floats(seed: int, count: int) -> list[float]:
+    return lcg_array(seed, (count,)).tolist()
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,10 @@ class SpaceAssignment:
     """Dimension per atom; all adjoints of an atom share its dimension."""
 
     dims: tuple[tuple[str, int], ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.dims))
 
     @classmethod
     def make(cls, dims: dict[str, int], table: AtomTable | None = None) -> "SpaceAssignment":
@@ -73,10 +83,10 @@ class SpaceAssignment:
         return cls(tuple(sorted(dims.items())))
 
     def dim(self, atom: str) -> int:
-        for name, d in self.dims:
-            if name == atom:
-                return d
-        raise SemanticsError(f"atom {atom!r} has no assigned dimension")
+        try:
+            return self._index[atom]
+        except KeyError:
+            raise SemanticsError(f"atom {atom!r} has no assigned dimension") from None
 
     def shape_of(self, t: CompoundType) -> tuple[int, ...]:
         return tuple(self.dim(p.atom) for p in t.parts)
@@ -137,38 +147,70 @@ def interpret(
     spaces: SpaceAssignment,
 ) -> np.ndarray:
     """Contract every linked axis pair of the sentence tensor, leaving the
-    residue axes in order: the meaning of the reduced phrase."""
+    residue axes in order: the meaning of the reduced phrase.
+
+    The contraction order is read off the witness, with no path search.
+    Word tensors are pushed left to right, and the top two stack entries
+    merge while they share a link and either the top has no link open to
+    a later word or the merge leaves less than the top held.  What is left
+    at the end merges left to right.  As the links of a reduction do not
+    cross, a word is contracted with the words nested inside its links
+    before it meets anything outside them."""
     flat = concat(wt.type for wt in tensors)
     n = len(flat)
     if not witness.covers(n):
         raise SemanticsError("witness does not match the concatenated word types")
+    dim = [spaces.dim(p.atom) for p in flat]
     for i, j in witness.links:
-        if spaces.dim(flat[i].atom) != spaces.dim(flat[j].atom):
-            raise SemanticsError(
-                f"link ({i}, {j}) pairs axes of dimensions "
-                f"{spaces.dim(flat[i].atom)} and {spaces.dim(flat[j].atom)}"
-            )
+        if dim[i] != dim[j]:
+            raise SemanticsError(f"link ({i}, {j}) pairs axes of dimensions {dim[i]} and {dim[j]}")
     if not tensors:
         return np.array(1.0)
-    axis_index: dict[int, int] = {}
-    counter = 0
-    for i, j in sorted(witness.links):
-        axis_index[i] = axis_index[j] = counter
-        counter += 1
-    out_axes = []
-    for i in witness.residue:
-        axis_index[i] = counter
-        out_axes.append(counter)
-        counter += 1
-    operands = []
+    # an axis is labelled by its position, both ends of a link by its left
+    # end; right_end[label] is the link's right end (-1: a residue axis)
+    label = list(range(n))
+    right_end = [-1] * n
+    for i, j in witness.links:
+        i, j = min(i, j), max(i, j)
+        label[i] = label[j] = i
+        right_end[i] = j
+    stack: list[tuple[np.ndarray, list[int]]] = []
     pos = 0
     for wt in tensors:
         if wt.data.shape != spaces.shape_of(wt.type):
             raise SemanticsError(f"{wt.word!r}: tensor shape mismatch")
-        operands.append(wt.data)
-        operands.append([axis_index[pos + k] for k in range(len(wt.type))])
+        data, labels = entry = _word_entry(wt.data, label[pos : pos + len(wt.type)])
         pos += len(wt.type)
-    return np.einsum(*operands, out_axes, optimize=True)
+        while stack and not set(stack[-1][1]).isdisjoint(labels):
+            if any(right_end[k] >= pos for k in labels):  # a link open to a later word
+                merged = set(stack[-1][1]) ^ set(labels)
+                if math.prod(dim[k] for k in merged) >= data.size:
+                    break  # let the later words shrink the top first
+            data, labels = entry = _merge(stack.pop(), entry)
+        stack.append(entry)
+    data, labels = stack[0]
+    for entry in stack[1:]:
+        data, labels = _merge((data, labels), entry)
+    return data.transpose([labels.index(r) for r in witness.residue])
+
+
+def _word_entry(data: np.ndarray, labels: list[int]) -> tuple[np.ndarray, list[int]]:
+    """A word tensor as a stack entry, any link inside the word traced out."""
+    for k in {x for x in labels if labels.count(x) > 1}:
+        i = labels.index(k)
+        j = labels.index(k, i + 1)
+        data = np.trace(data, axis1=i, axis2=j)
+        labels = labels[:i] + labels[i + 1 : j] + labels[j + 1 :]
+    return data, labels
+
+
+def _merge(left, right) -> tuple[np.ndarray, list[int]]:
+    """Two stack entries contracted along the labels they share (none: their
+    outer product); the left entry's open axes come first."""
+    (x, xs), (y, ys) = left, right
+    shared = [k for k in xs if k in ys]
+    data = np.tensordot(x, y, axes=([xs.index(k) for k in shared], [ys.index(k) for k in shared]))
+    return data, [k for k in xs if k not in shared] + [k for k in ys if k not in shared]
 
 
 @dataclass(frozen=True)
@@ -179,6 +221,16 @@ class AlphaSpec:
 
     component_maps: tuple[tuple[str, np.ndarray], ...]
     word_overrides: tuple[tuple[str, WordTensor], ...] = ()
+    # atom -> (component, its inverse transpose), each built once
+    _carriers: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
+    _overrides: dict[str, WordTensor] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        carriers = {atom: (mat, np.linalg.inv(mat).T) for atom, mat in self.component_maps}
+        object.__setattr__(self, "_carriers", carriers)
+        object.__setattr__(self, "_overrides", dict(self.word_overrides))
 
     @classmethod
     def make(cls, component_maps: dict[str, np.ndarray], word_overrides=None) -> "AlphaSpec":
@@ -193,17 +245,16 @@ class AlphaSpec:
         overrides = tuple(sorted((word_overrides or {}).items()))
         return cls(tuple(comps), overrides)
 
-    def component(self, atom: str) -> np.ndarray:
-        for name, mat in self.component_maps:
-            if name == atom:
-                return mat
-        raise SemanticsError(f"no component map for atom {atom!r}")
+    def component(self, atom: str, exponent: int = 0) -> np.ndarray:
+        """The map carrying an axis of ``atom`` at ``exponent``: the
+        component, or its inverse transpose where the exponent is odd."""
+        try:
+            return self._carriers[atom][exponent % 2]
+        except KeyError:
+            raise SemanticsError(f"no component map for atom {atom!r}") from None
 
     def override(self, word: str) -> WordTensor | None:
-        for name, wt in self.word_overrides:
-            if name == word:
-                return wt
-        return None
+        return self._overrides.get(word)
 
 
 def _detect_reverse(source: CompoundType, image: CompoundType) -> bool:
@@ -246,13 +297,12 @@ def apply_alpha(
 
 def _carry(alpha: AlphaSpec, data: np.ndarray, axes) -> np.ndarray:
     """Transform axis k of ``data`` by the component map of the k-th atom
-    in ``axes`` (atom, exponent) pairs, or by its inverse transpose where
-    the exponent is odd, so every epsilon pairing is preserved."""
-    for k, (atom, exponent) in enumerate(axes):
-        mat = alpha.component(atom)
-        if exponent % 2:
-            mat = np.linalg.inv(mat).T
-        data = np.moveaxis(np.tensordot(mat, data, axes=(1, k)), 0, k)
+    in ``axes`` (atom, exponent) pairs, one pair per axis, or by its
+    inverse transpose where the exponent is odd, so every epsilon pairing
+    is preserved.  Each step maps the leading axis and appends the result
+    last, so after one pass over all axes they are back in order."""
+    for atom, exponent in axes:
+        data = np.tensordot(data, alpha.component(atom, exponent), axes=(0, 1))
     return data
 
 
@@ -327,12 +377,12 @@ def check_naturality(
 def load_tensor_fixture(path: str | Path) -> tuple[SpaceAssignment, list[WordTensor]]:
     doc = JsonObject.read(path, SemanticsError)
     dims = doc.get("spaces", dict, items=int)
-    spaces = SpaceAssignment.make(dims)
-    table = AtomTable(dims.keys())
+    spaces = doc.wrap("spaces", SpaceAssignment.make, dims)
+    table = doc.wrap("spaces", AtomTable, dims.keys())
     tensors = []
     for i, raw in enumerate(doc.get("words", list, items=dict)):
         word = JsonObject(raw, f"{doc.where}: words[{i}]", SemanticsError)
-        t = parse_type(word.get("type", str), table)
+        t = word.type("type", table)
         shape = spaces.shape_of(t)
         payload = word.get("data", (list, dict))
         if isinstance(payload, dict):
@@ -343,5 +393,6 @@ def load_tensor_fixture(path: str | Path) -> tuple[SpaceAssignment, list[WordTen
                 array = np.asarray(payload, dtype=float)
             except ValueError as exc:
                 raise SemanticsError(f"{word.where}: field 'data': {exc}") from exc
-        tensors.append(make_word_tensor(word.get("word", str), t, array, spaces))
+        name = word.get("word", str)
+        tensors.append(word.wrap("data", make_word_tensor, name, t, array, spaces))
     return spaces, tensors

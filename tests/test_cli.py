@@ -152,6 +152,16 @@ def test_translate_goal_maps_through_the_functor(runner):
     assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("args", [
+    ["parse", "neko ga sakana wo taberu", "--lex", "ja"],
+    ["translate", "neko ga sakana wo taberu", "--functor", "jp-en-anti"],
+])
+def test_braced_target_exits_1_without_traceback(runner, args):
+    r = runner.invoke(main, args + ["--target", "< s >"])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert "--target '< s >': brace segments are not allowed" in r.output
+
+
 FUNCTOR = {"source_language": "ja", "target_language": "en", "mode": "antihomomorphism",
            "atom_map": {a: a for a in ["n", "s", "o1", "o2", "o5"]}}
 
@@ -162,6 +172,13 @@ FUNCTOR = {"source_language": "ja", "target_language": "en", "mode": "antihomomo
     ({**FUNCTOR, "simple_overrides": {"zz^l": "n"}}, None, "'zz^l'"),
     ({**FUNCTOR, "reversal_mask": "yes"}, None, "field 'reversal_mask'"),
     (FUNCTOR, '{"mori": 1}', "expected a JSON object of strings"),
+    ({**FUNCTOR, "atom_map": {**FUNCTOR["atom_map"], "n": "< n >"}}, None,
+     "field 'atom_map': field 'n': brace segments are not allowed"),
+    ({**FUNCTOR, "atom_map": {**FUNCTOR["atom_map"], "n": "q"}}, None,
+     "field 'atom_map': field 'n': unknown atom 'q'"),
+    ({**FUNCTOR, "simple_overrides": {"n^r": "< s >"}}, None,
+     "field 'simple_overrides': field 'n^r': brace segments are not allowed"),
+    ({**FUNCTOR, "mode": "homo"}, None, "field 'mode': unknown functor mode 'homo'"),
 ])
 def test_translate_bad_data_files_exit_1_without_traceback(
     runner, tmp_path, functor, wordmap, message

@@ -10,6 +10,7 @@ from pregtrans.core import (
     AtomTable,
     CompoundType,
     SimpleType,
+    TypeParseError,
     left_adjoint,
     parse_type,
     render_type,
@@ -279,6 +280,13 @@ def test_untranslatable_sentence_raises():
     src, tgt, f, wm = bundle("jp-en-anti")
     with pytest.raises(NotTranslatableError):
         translate_sentence(src, tgt, f, wm, ["mori", "neko"])
+
+
+def test_braced_goal_is_rejected():
+    src, tgt, f, wm = bundle("jp-en-anti")
+    with pytest.raises(TypeParseError, match="brace segments are not allowed"):
+        translate_sentence(src, tgt, f, wm, ["mori", "ni", "neko", "ga", "iru"],
+                           source_target="< s >")
 
 
 def test_wordmap_missing_word_raises():

@@ -48,6 +48,21 @@ def test_invalid_lexicon_reports_all_errors(tmp_path):
     assert "q" in msg and "z" in msg
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"entries": [{"word": "w", "types": ["a", "< a >"]}]}, "word 'w': brace segments"),
+    ({"empty_words": ["< a >"]}, "empty word: brace segments"),
+    ({"metarules": [{"kind": "atom-expansion", "atom": "a", "replacement": "< b >"}]},
+     "brace segments"),
+])
+def test_braced_types_rejected_where_plain_types_are_meant(tmp_path, extra, message):
+    lexicon = {"language": "xx", "atoms": ["a", "b"], "entries": [{"word": "v", "types": ["a"]}]}
+    p = tmp_path / "braced.json"
+    p.write_text(json.dumps({**lexicon, **extra}))
+    with pytest.raises(LexiconError) as exc:
+        load_lexicon(p)
+    assert str(p) in str(exc.value) and message in str(exc.value)
+
+
 def test_cyclic_order_rejected(tmp_path):
     bad = {"language": "xx", "atoms": ["a", "b"], "order": [["a", "b"], ["b", "a"]], "entries": []}
     p = tmp_path / "cyc.json"

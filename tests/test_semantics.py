@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from pregtrans import data as bundled
-from pregtrans.core import AtomTable, CompoundType, parse_type
-from pregtrans.functors import FunctorSpec, apply_antihomomorphism
+from pregtrans.core import AtomTable, CompoundType, SimpleType, concat, parse_type
+from pregtrans.functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
 from pregtrans.lexicon import load_lexicon
-from pregtrans.reduction import reduce
+from pregtrans.reduction import enumerate_reductions, reduce
 from pregtrans.semantics import (
     AlphaSpec,
     SemanticsError,
@@ -87,6 +87,23 @@ def test_lcg_reproducible():
     assert not np.allclose(a, lcg_array(8, (2, 2)))
 
 
+def python_lcg(seed, count):
+    """The generator as a plain loop over 64-bit states."""
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) & mask
+        out.append((state >> 11) * 2.0**-52 - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 5, 512])
+def test_lcg_matches_the_python_loop_bit_for_bit(seed, count):
+    assert lcg_floats(seed, count) == python_lcg(seed, count)
+    assert lcg_array(seed, (count,)).tolist() == python_lcg(seed, count)
+
+
 def test_space_assignment_validation():
     with pytest.raises(SemanticsError):
         SpaceAssignment.make({"n": 0})
@@ -95,6 +112,8 @@ def test_space_assignment_validation():
         SpaceAssignment.make({"s1": 2, "s": 3}, table)  # related atoms differ
     sp = SpaceAssignment.make({"s1": 2, "s": 2}, table)
     assert sp.dim("s1") == 2
+    with pytest.raises(SemanticsError, match="no assigned dimension"):
+        sp.dim("n")
 
 
 def test_word_tensor_shape_checked():
@@ -140,6 +159,64 @@ def test_snake_identities(dim):
 
 
 # ---- interpret -------------------------------------------------------------------
+
+def einsum_greedy(witness, tensors):
+    """The contraction as one einsum call with numpy's greedy path search."""
+    axis_index, counter = {}, 0
+    for i, j in sorted(witness.links):
+        axis_index[i] = axis_index[j] = counter
+        counter += 1
+    out_axes = []
+    for i in witness.residue:
+        axis_index[i] = counter
+        out_axes.append(counter)
+        counter += 1
+    operands, pos = [], 0
+    for wt in tensors:
+        operands += [wt.data, [axis_index[pos + k] for k in range(len(wt.type))]]
+        pos += len(wt.type)
+    return np.einsum(*operands, out_axes, optimize=True)
+
+
+def contraction_cases():
+    """(name, word types, goal): coordinations with k = 2-5 conjuncts, a
+    sentence contracting to a scalar, one-word sentences, and links inside
+    one word."""
+    for k in range(2, 6):
+        yield f"adj-{k}", ["n n^l", "n"] + ["n^r n n^l", "n"] * (k - 1), "n"
+        yield f"eat-{k}", ["n", "n^r s n^l", "n"] + ["n^r n n^l", "n"] * (k - 1), "s"
+    yield "scalar", ["n", "n^r s n^l", "n", "s^r"], ""
+    yield "one-word", ["n^r s n^l"], "n^r s n^l"
+    yield "one-word-scalar", ["n n^r"], ""
+    yield "inner-link", ["s n^l", "n o5 o5^r", "s^r"], ""
+
+
+@pytest.mark.parametrize("name, words, goal", list(contraction_cases()))
+def test_interpret_matches_einsum_with_path_search(name, words, goal):
+    rng = np.random.default_rng(0)
+    types = [parse_type(w, EN) for w in words]
+    witnesses = enumerate_reductions(concat(types), parse_type(goal, EN), EN)
+    assert witnesses
+    for w in witnesses:
+        for _ in range(3):
+            dims = {a: int(rng.integers(1, 5)) for a in EN.atoms}
+            spaces = SpaceAssignment.make(dims)
+            tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
+                       for i, t in enumerate(types)]
+            got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+
+
+@pytest.mark.parametrize("name, target", [("pigeons", "s"), ("adj_noun", "n"), ("mori", "s")])
+def test_interpret_matches_einsum_on_bundled_fixtures(name, target):
+    spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
+    table = AtomTable(dict(spaces.dims).keys())
+    for w in enumerate_reductions(flat_type(tensors), parse_type(target, table), table):
+        got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+
 
 def test_interpret_subject_verb_object():
     spaces, tensors = load_tensor_fixture(bundled.tensor_path("pigeons"))
@@ -203,6 +280,55 @@ def test_apply_alpha_reverses_axes_for_antihomomorphism():
     image = parse_type("o5 n^l", EN)
     out = apply_alpha(AlphaSpec.make({"n": np.eye(2), "o5": np.eye(2)}), src, image)
     assert np.allclose(out.data, src.data.T)
+
+
+def carry_by_inverting(components, data, axes):
+    """Axis k through the component of its atom, inverted and transposed
+    where the exponent is odd, one inversion per axis."""
+    for k, (atom, exponent) in enumerate(axes):
+        mat = components[atom]
+        if exponent % 2:
+            mat = np.linalg.inv(mat).T
+        data = np.moveaxis(np.tensordot(mat, data, axes=(1, k)), 0, k)
+    return data
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_apply_alpha_matches_inverting_each_axis(reverse):
+    rng = np.random.default_rng(int(reverse))
+    dims = {"n": 2, "s": 3, "o1": 4, "o2": 1, "o5": 5}
+    spaces = SpaceAssignment.make(dims)
+    components = {a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d)) for a, d in dims.items()}
+    alpha = AlphaSpec.make(components)
+    functor = FunctorSpec("x", "y", "antihomomorphism" if reverse else "homomorphism",
+                          IDENTITY_MAP, EN)
+    image_of = apply_antihomomorphism if reverse else apply_homomorphism
+    atoms = sorted(dims)
+    for _ in range(60):
+        t = CompoundType(tuple(
+            SimpleType(atoms[rng.integers(len(atoms))], int(rng.integers(-2, 3)))
+            for _ in range(rng.integers(0, 5))
+        ))
+        wt = make_word_tensor("w", t, rng.normal(size=spaces.shape_of(t)), spaces)
+        image = image_of(functor, t)
+        got = apply_alpha(alpha, wt, image, reverse=reverse)
+        data, parts = wt.data, t.parts
+        if reverse:
+            data, parts = data.transpose(tuple(range(data.ndim - 1, -1, -1))), parts[::-1]
+        axes = [(p.atom, q.exponent) for p, q in zip(parts, image.parts)]
+        want = carry_by_inverting(components, data, axes)
+        assert got.type == image and got.data.shape == want.shape
+        assert np.max(np.abs(got.data - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+
+
+def test_alpha_component_and_inverse_transpose():
+    mat = np.eye(3) + 0.2 * lcg_array(5, (3, 3))
+    alpha = AlphaSpec.make({"n": mat})
+    assert np.array_equal(alpha.component("n"), mat)
+    assert np.array_equal(alpha.component("n", 2), mat)
+    assert np.allclose(alpha.component("n", -1), np.linalg.inv(mat).T)
+    with pytest.raises(SemanticsError, match="no component map"):
+        alpha.component("s")
 
 
 def test_apply_alpha_word_override():
@@ -276,6 +402,13 @@ def test_naturality_rejects_bracewise_mode():
      "words[0]: field 'data'"),
     (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": {"seed": 1.5}}]}),
      "words[0]: field 'data': field 'seed'"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "< n >", "data": [1, 2]}]}),
+     "words[0]: field 'type': brace segments are not allowed"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "q", "data": [1, 2]}]}),
+     "words[0]: field 'type': unknown atom 'q'"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": [1, 2, 3]}]}),
+     "words[0]: field 'data': 'w': tensor shape"),
+    (json.dumps({"spaces": {"n": 0}, "words": []}), "field 'spaces': atom 'n' has non-positive"),
 ])
 def test_bad_tensor_fixture_names_file_and_field(tmp_path, text, message):
     path = tmp_path / "fixture.json"
