@@ -33,8 +33,6 @@ from .lexicon import (
     UnknownWordError,
     load_lexicon,
     save_lexicon,
-    type_sentence,
-    types_of,
 )
 from .functors import (
     FunctorSpec,

@@ -220,7 +220,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
 
 
 def _law_suite() -> list[str]:
-    from .core import left_adjoint, right_adjoint, SimpleType, contracts, simple_leq
+    from .core import left_adjoint, right_adjoint, SimpleType, contracts
 
     table = AtomTable({"a", "b", "c", "d"}, [("a", "b")])
     rng = random.Random(0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -63,32 +63,43 @@ class JsonObject:
 
     def check(self, value, kind, items=None, name: str | None = None):
         """``value`` (this object or its field ``name``) if it is of ``kind``
-        and its elements (values, for an object) are of ``items``, if given."""
-        inner = value.values() if isinstance(value, dict) else value
-        if isinstance(value, kind) and (items is None or all(isinstance(v, items) for v in inner)):
-            return value
-        kinds = kind if isinstance(kind, tuple) else (kind,)
+        and its elements (values, for an object) are of ``items``, if given.
+        Types are matched exactly, so a JSON boolean is not an integer."""
+        if type(value) is kind or type(kind) is tuple and type(value) in kind:
+            if items is None:
+                return value
+            # a plain loop, not all(): this runs for every field a load reads
+            for v in value.values() if type(value) is dict else value:
+                if type(v) is not items:
+                    break
+            else:
+                return value
+        kinds = kind if type(kind) is tuple else (kind,)
         expected = " or ".join(_JSON_KINDS[k] for k in kinds)
         expected += f" of {_JSON_KINDS[items]}s" if items is not None else ""
-        where = self.where if name is None else f"{self.where}: field {name!r}"
-        raise self.error(f"{where}: expected a JSON {expected}")
+        raise self.error(f"{self._at(name)}: expected a JSON {expected}")
 
     def get(self, name: str, kind, items=None, default=_REQUIRED):
         """The field ``name``, checked as :meth:`check` does; a missing
         field is ``default``, or an error when no default is given."""
-        if name in self.data:
-            return self.check(self.data[name], kind, items, name)
+        value = self.data.get(name, _REQUIRED)
+        if value is not _REQUIRED:
+            return self.check(value, kind, items, name)
         if default is _REQUIRED:
             raise self.error(f"{self.where}: missing field {name!r}")
         return default
 
-    def wrap(self, name: str, step, *args):
-        """``step(*args)``, with a :class:`PregroupError` from it raised as
-        ``error`` naming the file and the field ``name``."""
+    def wrap(self, name: str | None, step, *args, **kwargs):
+        """``step(*args, **kwargs)``, with a :class:`PregroupError` from it
+        raised as ``error`` naming the file and the field ``name`` (none:
+        this object)."""
         try:
-            return step(*args)
+            return step(*args, **kwargs)
         except PregroupError as exc:
-            raise self.error(f"{self.where}: field {name!r}: {exc}") from exc
+            raise self.error(f"{self._at(name)}: {exc}") from exc
+
+    def _at(self, name: str | None) -> str:
+        return self.where if name is None else f"{self.where}: field {name!r}"
 
     def type(self, name: str, table: "AtomTable") -> "CompoundType":
         """The field ``name``: a type string without brace segments, parsed
@@ -263,8 +274,6 @@ class BracedType:
 
 
 Type = Union[CompoundType, BracedType]
-
-EMPTY = CompoundType()
 
 
 def concat(types: Iterable[CompoundType]) -> CompoundType:

@@ -90,23 +90,22 @@ class FunctorSpec:
             raise FunctorError(f"atom map not total; missing {missing}")
 
 
-@dataclass(frozen=True)
 class WordMap:
-    pairs: tuple[tuple[str, str], ...]
-    _index: dict[str, str] = field(init=False, repr=False, compare=False)
+    """Source token -> its realization in the target language (possibly
+    empty or multi-word), from a dict or (token, realization) pairs."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", dict(self.pairs))
+    def __init__(self, pairs):
+        self.entries: dict[str, str] = dict(pairs)
 
     def get(self, token: str) -> str:
         try:
-            return self._index[token]
+            return self.entries[token]
         except KeyError:
             raise FunctorError(f"word map has no entry for {token!r}") from None
 
 
 def load_wordmap(path: str | Path) -> WordMap:
-    return WordMap(tuple(sorted(JsonObject.read(path, FunctorError, items=str).data.items())))
+    return WordMap(JsonObject.read(path, FunctorError, items=str).data)
 
 
 def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTable) -> FunctorSpec:
@@ -116,10 +115,12 @@ def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTa
     )
     atom_map = {atom: images.type(atom, target_table) for atom in images.data}
     mask = doc.get("reversal_mask", list, items=bool, default=None)
-    rules = tuple(
-        doc.wrap("post_metarules", Metarule.from_json, raw, target_table)
-        for raw in doc.get("post_metarules", list, items=dict, default=[])
-    )
+    rules = []
+    for i, raw in enumerate(doc.get("post_metarules", list, items=dict, default=[])):
+        rule = JsonObject(raw, f"{doc.where}: post_metarules[{i}]", FunctorError)
+        made = Metarule.from_json(rule)
+        rule.wrap(None, made.check, target_table)
+        rules.append(made)
     replacements = JsonObject(
         doc.get("simple_overrides", dict, items=str, default={}),
         f"{doc.where}: field 'simple_overrides'",
@@ -144,7 +145,7 @@ def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTa
         atom_map,
         target_table,
         tuple(mask) if mask is not None else None,
-        rules,
+        tuple(rules),
         overrides,
     )
     doc.wrap("atom_map", spec.check_total, source_table)

@@ -1,9 +1,27 @@
 """Per-language lexicons: word -> type assignments, atom tables, empty
 words, and metarules that expand each word's type set.
 
-Lexicon files are UTF-8 JSON with fields ``language``, ``atoms``,
-``order`` (list of [lesser, greater] pairs), ``entries`` (word, optional
-aliases, type strings), ``metarules`` and ``empty_words``.
+Lexicon files are UTF-8 JSON objects with these fields:
+
+* ``language`` (string, default ``"und"``);
+* ``atoms`` (list of strings);
+* ``order`` (list of ``[lesser, greater]`` pairs of strings, default empty);
+* ``entries`` (list of objects: ``word`` string, ``types`` list of type
+  strings, ``aliases`` list of strings, default empty);
+* ``metarules`` (list of objects, default empty): ``kind`` string plus the
+  kind's parameters, ``cases`` (list of strings) and ``head`` (string) for
+  ``argument-swap``, ``atom`` and ``replacement`` (strings) for
+  ``atom-expansion``, ``head`` (string) for ``slot-flip``;
+* ``empty_words`` (list of type strings, default empty).
+
+A file that does not decode, a missing field, a field of the wrong JSON
+type, an order entry that is not a pair, and a metarule of unknown kind,
+with fewer than two cases or with an empty parameter raise a
+:class:`LexiconError` at once, naming the file and the field.  Grammar
+errors are collected into one message: bad atom names, an order over
+unknown atoms or with a cycle, type strings that do not parse, an entry
+with an empty word or no valid type, conflicting duplicate entries, and
+metarules naming unknown atoms or with a bad replacement.
 """
 
 from __future__ import annotations
@@ -25,7 +43,12 @@ from .core import (
 
 EMPTY_TOKENS = {"∅", "@0"}  # the explicit empty word
 
-METARULE_KINDS = {"argument-swap", "atom-expansion", "slot-flip"}
+# kind -> its parameters and their JSON types (a list holds strings)
+METARULE_PARAMS = {
+    "argument-swap": {"cases": list, "head": str},
+    "atom-expansion": {"atom": str, "replacement": str},
+    "slot-flip": {"head": str},
+}
 
 CLOSURE_DEPTH = 3
 
@@ -54,67 +77,59 @@ class Metarule:
     """
 
     kind: str
-    params: tuple[tuple[str, object], ...]
+    params: dict  # parameter -> value, as in the rule's JSON object
     _parsed: CompoundType | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def make(cls, kind: str, **params) -> "Metarule":
-        if kind not in METARULE_KINDS:
+        if kind not in METARULE_PARAMS:
             raise LexiconError(f"unknown metarule kind {kind!r}")
-        frozen = tuple(
-            (k, tuple(v) if isinstance(v, list) else v) for k, v in sorted(params.items())
-        )
-        p = dict(frozen)
+        p = params
         if kind == "argument-swap" and (len(p.get("cases", ())) < 2 or not p.get("head")):
             raise LexiconError("argument-swap needs at least two case atoms and a head atom")
         if kind == "atom-expansion" and (not p.get("atom") or not p.get("replacement")):
             raise LexiconError("atom-expansion needs an atom and a replacement type")
         if kind == "slot-flip" and not p.get("head"):
             raise LexiconError("slot-flip needs a head atom")
-        return cls(kind, frozen)
-
-    @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
+        return cls(kind, params)
 
     @classmethod
-    def from_json(cls, data: dict, table: AtomTable) -> "Metarule":
-        data = dict(data)
-        kind = data.pop("kind", None)
-        rule = cls.make(kind, **data)
-        rule._check(table)
-        return rule
+    def from_json(cls, rule: JsonObject) -> "Metarule":
+        """The metarule in the JSON object ``rule``: its ``kind`` and the
+        parameters METARULE_PARAMS lists for that kind.  A missing field, a
+        wrong JSON type and a rule :meth:`make` rejects raise ``rule.error``
+        naming the file and the field; :meth:`check` checks the rule
+        against a grammar."""
+        kind = rule.get("kind", str)
+        params = {
+            name: rule.get(name, json_kind, str if json_kind is list else None)
+            for name, json_kind in METARULE_PARAMS.get(kind, {}).items()
+        }
+        return rule.wrap(None, cls.make, kind, **params)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for k, v in self.params:
-            out[k] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {"kind": self.kind, **self.params}
 
-    def _check(self, table: AtomTable):
-        p = self.param_dict
-        if self.kind == "argument-swap":
-            for a in list(p.get("cases", ())) + [p.get("head")]:
-                if a not in table:
-                    raise LexiconError(f"metarule references unknown atom {a!r}")
-        elif self.kind == "atom-expansion":
-            if p.get("atom") not in table:
-                raise LexiconError(f"metarule references unknown atom {p.get('atom')!r}")
+    def check(self, table: AtomTable):
+        """Raise :class:`LexiconError` unless every atom the rule names is in
+        ``table`` and an atom-expansion's replacement parses against it."""
+        p = self.params
+        for a in [*p.get("cases", ()), p.get("head", p.get("atom"))]:
+            if a not in table:
+                raise LexiconError(f"metarule references unknown atom {a!r}")
+        if self.kind == "atom-expansion":
             self._replacement(table)
-        elif self.kind == "slot-flip":
-            if p.get("head") not in table:
-                raise LexiconError(f"metarule references unknown atom {p.get('head')!r}")
 
     def _replacement(self, table: AtomTable) -> CompoundType:
         # an atom-expansion's replacement, parsed once per rule
         if self._parsed is None:
-            replacement = parse_plain_type(self.param_dict["replacement"], table)
+            replacement = parse_plain_type(self.params["replacement"], table)
             object.__setattr__(self, "_parsed", replacement)
         return self._parsed
 
     def apply(self, t: CompoundType, table: AtomTable) -> list[CompoundType]:
         """All types derivable from ``t`` by one application."""
-        p = self.param_dict
+        p = self.params
         out: list[CompoundType] = []
         parts = t.parts
         if self.kind == "argument-swap":
@@ -196,9 +211,6 @@ class Lexicon:
             return token
         return self._aliases.get(token)
 
-    def words(self) -> list[str]:
-        return sorted(self.entries)
-
     def types_of(self, word: str) -> frozenset[CompoundType]:
         """The word's types closed under the metarules (bounded depth),
         computed on first use and kept: a lexicon does not change."""
@@ -257,70 +269,74 @@ class Lexicon:
             "empty_words": sorted(render_type(t) for t in self.empty_words),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict, source: str = "<data>") -> "Lexicon":
-        errors: list[str] = []
-        try:
-            table = AtomTable(data.get("atoms", []), [tuple(p) for p in data.get("order", [])])
-        except PregroupError as exc:
-            # keep collecting entry errors against an order-free table so one
-            # load reports every problem in the file
-            errors.append(str(exc))
-            try:
-                table = AtomTable(data.get("atoms", []))
-            except PregroupError:
-                raise LexiconError(f"{source}: " + "; ".join(errors)) from exc
-        entries: dict[str, LexiconEntry] = {}
-        for raw in data.get("entries", []):
-            word = raw.get("word")
-            if not word:
-                errors.append("entry with missing word")
-                continue
-            types = []
-            for text in raw.get("types", []):
-                try:
-                    types.append(parse_plain_type(text, table))
-                except PregroupError as exc:
-                    errors.append(f"word {word!r}: {exc}")
-            if not types:
-                errors.append(f"word {word!r} has no valid types")
-                continue
-            entry = LexiconEntry(word, tuple(sorted(set(types))), tuple(raw.get("aliases", [])))
-            if word in entries and entries[word] != entry:
-                errors.append(f"duplicate word {word!r} with conflicting entry")
-                continue
-            entries[word] = entry
-        metarules = []
-        for raw in data.get("metarules", []):
-            try:
-                metarules.append(Metarule.from_json(raw, table))
-            except PregroupError as exc:
-                errors.append(str(exc))
-        empty_words = []
-        for text in data.get("empty_words", []):
-            try:
-                empty_words.append(parse_plain_type(text, table))
-            except PregroupError as exc:
-                errors.append(f"empty word: {exc}")
-        if errors:
-            raise LexiconError(f"{source}: " + "; ".join(errors))
-        return cls(data.get("language", "und"), table, entries, metarules, tuple(empty_words))
-
 
 def load_lexicon(path: str | Path) -> Lexicon:
+    """The lexicon in the JSON file at ``path``: a malformed file raises
+    at once, grammar errors are collected (see the module docstring)."""
     doc = JsonObject.read(path, LexiconError)
-    return Lexicon.from_dict(doc.data, source=doc.where)
+    language = doc.get("language", str, default="und")
+    atoms = doc.get("atoms", list, items=str)
+    pairs = []
+    for i, pair in enumerate(doc.get("order", list, items=list, default=[])):
+        if len(doc.check(pair, list, str, f"order[{i}]")) != 2:
+            raise LexiconError(f"{doc.where}: field 'order[{i}]': expected a [lesser, greater] pair")
+        pairs.append(tuple(pair))
+    entries = []
+    for i, raw in enumerate(doc.get("entries", list, items=dict)):
+        entry = JsonObject(raw, f"{doc.where}: entries[{i}]", LexiconError)
+        entries.append((entry.get("word", str), entry.get("types", list, items=str),
+                        tuple(entry.get("aliases", list, items=str, default=[]))))
+    rules = [Metarule.from_json(JsonObject(raw, f"{doc.where}: metarules[{i}]", LexiconError))
+             for i, raw in enumerate(doc.get("metarules", list, items=dict, default=[]))]
+    empty_texts = doc.get("empty_words", list, items=str, default=[])
+
+    errors: list[str] = []
+    try:
+        table = AtomTable(atoms, pairs)
+    except PregroupError as exc:
+        # keep collecting entry errors against an order-free table so one
+        # load reports every problem in the file
+        errors.append(str(exc))
+        try:
+            table = AtomTable(atoms)
+        except PregroupError:
+            raise LexiconError(f"{doc.where}: " + "; ".join(errors)) from exc
+
+    def parsed(texts: list[str], what: str) -> list[CompoundType]:
+        types = []
+        for text in texts:
+            try:
+                types.append(parse_plain_type(text, table))
+            except PregroupError as exc:
+                errors.append(f"{what}: {exc}")
+        return types
+
+    words: dict[str, LexiconEntry] = {}
+    for word, texts, aliases in entries:
+        if not word:
+            errors.append("entry with empty word")
+            continue
+        types = parsed(texts, f"word {word!r}")
+        if not types:
+            errors.append(f"word {word!r} has no valid types")
+            continue
+        made = LexiconEntry(word, tuple(sorted(set(types))), aliases)
+        if word in words and words[word] != made:
+            errors.append(f"duplicate word {word!r} with conflicting entry")
+            continue
+        words[word] = made
+    for i, rule in enumerate(rules):
+        try:
+            rule.check(table)
+        except PregroupError as exc:
+            errors.append(f"metarules[{i}]: {exc}")
+    empty_words = parsed(empty_texts, "empty word")
+    if errors:
+        raise LexiconError(f"{doc.where}: " + "; ".join(errors))
+    return Lexicon(language, table, words, rules, tuple(empty_words))
 
 
 def save_lexicon(lex: Lexicon, path: str | Path):
     Path(path).write_text(
         json.dumps(lex.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
-
-
-def types_of(lex: Lexicon, word: str) -> frozenset[CompoundType]:
-    return lex.types_of(word)
-
-
-def type_sentence(lex: Lexicon, tokens: list[str]):
-    return lex.type_sentence(tokens)

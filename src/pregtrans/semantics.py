@@ -60,11 +60,7 @@ def lcg_floats(seed: int, count: int) -> list[float]:
 class SpaceAssignment:
     """Dimension per atom; all adjoints of an atom share its dimension."""
 
-    dims: tuple[tuple[str, int], ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", dict(self.dims))
+    dims: dict[str, int]
 
     @classmethod
     def make(cls, dims: dict[str, int], table: AtomTable | None = None) -> "SpaceAssignment":
@@ -80,11 +76,11 @@ class SpaceAssignment:
                     raise SemanticsError(
                         f"order-related atoms {a!r} and {b!r} have different dimensions"
                     )
-        return cls(tuple(sorted(dims.items())))
+        return cls(dict(sorted(dims.items())))
 
     def dim(self, atom: str) -> int:
         try:
-            return self._index[atom]
+            return self.dims[atom]
         except KeyError:
             raise SemanticsError(f"atom {atom!r} has no assigned dimension") from None
 
@@ -219,64 +215,45 @@ class AlphaSpec:
     per source atom, plus optional per-word target tensors that bypass
     the matrix path."""
 
-    component_maps: tuple[tuple[str, np.ndarray], ...]
-    word_overrides: tuple[tuple[str, WordTensor], ...] = ()
     # atom -> (component, its inverse transpose), each built once
-    _carriers: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
-    _overrides: dict[str, WordTensor] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        carriers = {atom: (mat, np.linalg.inv(mat).T) for atom, mat in self.component_maps}
-        object.__setattr__(self, "_carriers", carriers)
-        object.__setattr__(self, "_overrides", dict(self.word_overrides))
+    carriers: dict[str, tuple[np.ndarray, np.ndarray]]
+    overrides: dict[str, WordTensor] = field(default_factory=dict)
 
     @classmethod
     def make(cls, component_maps: dict[str, np.ndarray], word_overrides=None) -> "AlphaSpec":
-        comps = []
+        carriers = {}
         for atom, mat in sorted(component_maps.items()):
             mat = np.asarray(mat, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise SemanticsError(f"component for {atom!r} is not a square matrix")
             if abs(np.linalg.det(mat)) < 1e-12:
                 raise SemanticsError(f"component for {atom!r} is not invertible")
-            comps.append((atom, mat))
-        overrides = tuple(sorted((word_overrides or {}).items()))
-        return cls(tuple(comps), overrides)
+            carriers[atom] = (mat, np.linalg.inv(mat).T)
+        return cls(carriers, dict(word_overrides or {}))
 
     def component(self, atom: str, exponent: int = 0) -> np.ndarray:
         """The map carrying an axis of ``atom`` at ``exponent``: the
         component, or its inverse transpose where the exponent is odd."""
         try:
-            return self._carriers[atom][exponent % 2]
+            return self.carriers[atom][exponent % 2]
         except KeyError:
             raise SemanticsError(f"no component map for atom {atom!r}") from None
 
     def override(self, word: str) -> WordTensor | None:
-        return self._overrides.get(word)
-
-
-def _detect_reverse(source: CompoundType, image: CompoundType) -> bool:
-    fwd = [p.exponent for p in image.parts] == [p.exponent for p in source.parts]
-    rev = [p.exponent for p in image.parts] == [-p.exponent for p in reversed(source.parts)]
-    if fwd:
-        return False
-    if rev:
-        return True
-    raise SemanticsError("image type matches neither the direct nor the reversed source")
+        return self.overrides.get(word)
 
 
 def apply_alpha(
     alpha: AlphaSpec,
     t: WordTensor,
     image_type: CompoundType,
-    reverse: bool | None = None,
+    reverse: bool,
 ) -> WordTensor:
     """Carry a word tensor into the target model: even-exponent axes are
     transformed by the atom's component map, odd-exponent axes by its
     inverse transpose (so every epsilon pairing is preserved); axis order
-    follows the functor image."""
+    follows the functor image, whose parts are in reverse order when
+    ``reverse`` (an anti-homomorphism's image)."""
     override = alpha.override(t.word)
     if override is not None:
         return override
@@ -284,8 +261,6 @@ def apply_alpha(
         raise SemanticsError(
             f"{t.word!r}: image type length {len(image_type)} != {len(t.type)}"
         )
-    if reverse is None:
-        reverse = _detect_reverse(t.type, image_type)
     data = t.data
     source_parts = t.type.parts
     if reverse:
@@ -391,7 +366,7 @@ def load_tensor_fixture(path: str | Path) -> tuple[SpaceAssignment, list[WordTen
         else:
             try:
                 array = np.asarray(payload, dtype=float)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise SemanticsError(f"{word.where}: field 'data': {exc}") from exc
         name = word.get("word", str)
         tensors.append(word.wrap("data", make_word_tensor, name, t, array, spaces))

@@ -179,6 +179,10 @@ FUNCTOR = {"source_language": "ja", "target_language": "en", "mode": "antihomomo
     ({**FUNCTOR, "simple_overrides": {"n^r": "< s >"}}, None,
      "field 'simple_overrides': field 'n^r': brace segments are not allowed"),
     ({**FUNCTOR, "mode": "homo"}, None, "field 'mode': unknown functor mode 'homo'"),
+    ({**FUNCTOR, "post_metarules": [{"kind": "slot-flip", "head": {"x": 1}}]}, None,
+     "post_metarules[0]: field 'head': expected a JSON string"),
+    ({**FUNCTOR, "post_metarules": [{"kind": "slot-flip", "head": "q"}]}, None,
+     "post_metarules[0]: metarule references unknown atom 'q'"),
 ])
 def test_translate_bad_data_files_exit_1_without_traceback(
     runner, tmp_path, functor, wordmap, message
@@ -195,6 +199,32 @@ def test_translate_bad_data_files_exit_1_without_traceback(
     r = runner.invoke(main, args)
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
     assert message in r.output and str(tmp_path) in r.output
+
+
+LEXICON = {"language": "xx", "atoms": ["n", "s", "o1", "o2"],
+           "entries": [{"word": "w", "types": ["n"]}]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"entries": ["cat"]}, "field 'entries': expected a JSON list of objects"),
+    ({"atoms": 5}, "field 'atoms': expected a JSON list of strings"),
+    ({"order": [["n"]]}, "field 'order[0]': expected a [lesser, greater] pair"),
+    ({"metarules": ["x"]}, "field 'metarules': expected a JSON list of objects"),
+    ({"entries": [{"word": "w", "types": "n s"}]},
+     "entries[0]: field 'types': expected a JSON list of strings"),
+    ({"entries": [{"word": "w", "aliases": "kt", "types": ["n"]}]},
+     "entries[0]: field 'aliases': expected a JSON list of strings"),
+    ({"metarules": [{"kind": "argument-swap", "cases": "o1", "head": "s"}]},
+     "metarules[0]: field 'cases': expected a JSON list of strings"),
+    ({"metarules": [{"kind": "slot-flip"}]}, "metarules[0]: missing field 'head'"),
+    ({"metarules": [{"kind": "swap"}]}, "metarules[0]: unknown metarule kind 'swap'"),
+])
+def test_validate_malformed_lexicon_exits_1_without_traceback(runner, tmp_path, change, message):
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps({**LEXICON, **change}))
+    r = runner.invoke(main, ["validate", str(path)])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert f"{path}: {message}" in r.output
 
 
 # ---- check / validate ----------------------------------------------------------

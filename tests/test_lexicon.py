@@ -145,10 +145,14 @@ def test_type_sentence(ja):
     assert len(pairs[1][1]) == 2  # subject particle and conjunction readings
 
 
-def test_save_load_roundtrip(ja, tmp_path):
-    p = tmp_path / "ja2.json"
-    save_lexicon(ja, p)
+@pytest.mark.parametrize("name", ["ja", "ja_mini", "en", "fa", "ro"])
+def test_save_load_roundtrip(name, tmp_path):
+    lex = load_lexicon(bundled.lexicon_path(name))
+    p = tmp_path / f"{name}2.json"
+    save_lexicon(lex, p)
     again = load_lexicon(p)
-    assert again.language == ja.language
-    for word in ["neko", "taberu", "no", "@0"]:
-        assert renders(again, word) == renders(ja, word)
+    assert again.language == lex.language
+    assert again.to_dict() == lex.to_dict()
+    aliases = [alias for entry in lex.entries.values() for alias in entry.aliases]
+    for word in [*lex.entries, *aliases, "@0"]:
+        assert renders(again, word) == renders(lex, word)

@@ -278,7 +278,7 @@ def test_apply_alpha_reverses_axes_for_antihomomorphism():
     table = AtomTable({"n", "o5"})
     src = make_word_tensor("ni", parse_type("n^r o5", table), lcg_array(31, (2, 2)), spaces)
     image = parse_type("o5 n^l", EN)
-    out = apply_alpha(AlphaSpec.make({"n": np.eye(2), "o5": np.eye(2)}), src, image)
+    out = apply_alpha(AlphaSpec.make({"n": np.eye(2), "o5": np.eye(2)}), src, image, reverse=True)
     assert np.allclose(out.data, src.data.T)
 
 
@@ -337,7 +337,7 @@ def test_apply_alpha_word_override():
     src = make_word_tensor("w", parse_type("n", table), [1.0, 0.0], spaces)
     repl = make_word_tensor("w", parse_type("n", EN), [5.0, 5.0], spaces)
     alpha = AlphaSpec.make({"n": np.eye(2)}, {"w": repl})
-    assert np.array_equal(apply_alpha(alpha, src, parse_type("n", EN)).data, [5.0, 5.0])
+    assert np.array_equal(apply_alpha(alpha, src, parse_type("n", EN), reverse=False).data, [5.0, 5.0])
 
 
 # ---- naturality squares ------------------------------------------------------------
@@ -409,6 +409,11 @@ def test_naturality_rejects_bracewise_mode():
     (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": [1, 2, 3]}]}),
      "words[0]: field 'data': 'w': tensor shape"),
     (json.dumps({"spaces": {"n": 0}, "words": []}), "field 'spaces': atom 'n' has non-positive"),
+    (json.dumps({"spaces": {"n": True}, "words": []}), "field 'spaces': expected"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": {"seed": False}}]}),
+     "words[0]: field 'data': field 'seed'"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": [{"a": 1}]}]}),
+     "words[0]: field 'data'"),
 ])
 def test_bad_tensor_fixture_names_file_and_field(tmp_path, text, message):
     path = tmp_path / "fixture.json"

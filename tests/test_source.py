@@ -1,0 +1,46 @@
+"""Source hygiene: no module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pregtrans"
+# a package's __init__ imports names to re-export them
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # a name may be used only in a quoted annotation
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(note) if note is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    quoted = ast.parse(part.value, mode="eval")
+                    used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from x import a, b, c\n"
+        "def f(x: 'c') -> None:\n"
+        "    '''json a'''\n"
+        "    b()\n"
+    )
+    assert unused_imports(source) == ["line 2: json", "line 3: a"]
