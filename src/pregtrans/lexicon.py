@@ -20,7 +20,8 @@ with fewer than two cases or with an empty parameter raise a
 :class:`LexiconError` at once, naming the file and the field.  Grammar
 errors are collected into one message: bad atom names, an order over
 unknown atoms or with a cycle, type strings that do not parse, an entry
-with an empty word or no valid type, conflicting duplicate entries, and
+with an empty word or no valid type, conflicting duplicate entries, an
+alias that is another entry's word or that two entries claim, and
 metarules naming unknown atoms or with a bad replacement.
 """
 
@@ -249,9 +250,6 @@ class Lexicon:
             frontier = new
         return frozenset(closed)
 
-    def type_sentence(self, tokens: list[str]) -> list[tuple[str, frozenset[CompoundType]]]:
-        return [(tok, self.types_of(tok)) for tok in tokens]
-
     def to_dict(self) -> dict:
         return {
             "language": self.language,
@@ -325,6 +323,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
             errors.append(f"duplicate word {word!r} with conflicting entry")
             continue
         words[word] = made
+    owners: dict[str, str] = {}  # alias -> the word that claimed it first
+    for entry in words.values():
+        for alias in entry.aliases:
+            if alias in words and alias != entry.word:
+                errors.append(f"alias {alias!r} of word {entry.word!r} is another entry's word")
+            elif owners.setdefault(alias, entry.word) != entry.word:
+                errors.append(f"alias {alias!r} is claimed by {owners[alias]!r} and {entry.word!r}")
     for i, rule in enumerate(rules):
         try:
             rule.check(table)

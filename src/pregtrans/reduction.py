@@ -13,6 +13,9 @@ search order, entering only states that succeed, and a span's link sets are
 a lazy stream shared by every context around it.  :func:`type_selections`
 picks type selections in ``itertools.product`` order.  Induced order steps
 (s1 -> s, n -> pi) are folded into the contraction and residue checks.
+One linear bracket scan, :meth:`ReductionWitness.partners`, checks a witness
+for :func:`render_diagram` and for ``semantics.interpret``, which rejects a
+witness that is not a planar reduction.
 """
 
 from __future__ import annotations
@@ -55,29 +58,33 @@ class ReductionWitness(NamedTuple):
     def sort_key(self):
         return (sorted(self.links), self.residue)
 
-    def covers(self, n: int) -> bool:
-        touched = sorted([i for link in self.links for i in link] + list(self.residue))
-        return touched == list(range(n))
-
-    def is_planar(self) -> bool:
-        links = sorted(self.links)
-        for a, (i, j) in enumerate(links):
-            for i2, j2 in links[a + 1 :]:
-                if i < i2 < j < j2:
-                    return False
-        return True
-
-    def is_well_nested(self) -> bool:
-        # every interior position of a link must itself be linked inside it
+    def partners(self, n: int) -> list[int]:
+        """Each of the ``n`` positions' partner (-1: residue), from one
+        left-to-right bracket scan; :class:`WitnessError` unless each link
+        ``(i, j)`` has ``0 <= i < j < n``, each position is touched once, no
+        links cross and no residue lies under a link."""
+        partner = [-2] * n  # -2: not touched
         for i, j in self.links:
-            for k in range(i + 1, j):
-                partners = [l for l in self.links if k in l]
-                if not partners:
-                    return False
-                (a, b), = partners
-                if not (i < a and b < j) and (a, b) != (i, j):
-                    return False
-        return True
+            if not 0 <= i < j < n or partner[i] != -2 or partner[j] != -2:
+                raise WitnessError(f"link ({i}, {j}) is not ordered, in range and unshared")
+            partner[i], partner[j] = j, i
+        for r in self.residue:
+            if not 0 <= r < n or partner[r] != -2:
+                raise WitnessError(f"residue position {r} is out of range or touched twice")
+            partner[r] = -1
+        opened = []  # left ends of the open links, innermost last
+        for p, q in enumerate(partner):
+            if q > p:
+                opened.append(p)
+            elif q >= 0:
+                if (i := opened.pop()) != q:
+                    raise WitnessError(f"links ({q}, {p}) and ({i}, {partner[i]}) cross")
+            elif q == -2:
+                raise WitnessError(f"position {p} is neither linked nor residue")
+            elif opened:
+                i = opened[-1]
+                raise WitnessError(f"residue position {p} lies under link ({i}, {partner[i]})")
+        return partner
 
 
 def _flatten(t: Type) -> CompoundType:
@@ -371,27 +378,19 @@ def oracle_selections(alternatives, target: CompoundType, table: AtomTable) -> l
     return found
 
 
-def _validate(parts, w: ReductionWitness):
-    n = len(parts)
-    if not w.covers(n):
-        raise WitnessError("witness does not partition the input positions")
-    if not w.is_planar() or not w.is_well_nested():
-        raise WitnessError("witness is not planar/well-nested")
-
-
 def render_diagram(input: Type, w: ReductionWitness, format: str = "text") -> str:
     """Render a reduction witness; ``text`` draws ASCII under-brackets,
     ``dot`` emits a deterministic graph description."""
     parts = _flatten(input).parts
-    _validate(parts, w)
+    partner = w.partners(len(parts))
     if format == "dot":
         return _render_dot(parts, w)
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
-    return _render_text(parts, w)
+    return _render_text(parts, w, partner)
 
 
-def _render_text(parts, w: ReductionWitness) -> str:
+def _render_text(parts, w: ReductionWitness, partner: list[int]) -> str:
     if not parts:
         return ""
     tokens = [p.render() for p in parts]
@@ -402,16 +401,19 @@ def _render_text(parts, w: ReductionWitness) -> str:
         offset += len(tok) + 1
     width = offset - 1
 
-    def row(link):
-        i, j = link
-        inner = [l for l in w.links if i < l[0] and l[1] < j]
-        if not inner:
-            return 0
-        return 1 + max(row(l) for l in inner)
-
+    # a link's row is 1 + the highest row nested directly inside it, 0 if
+    # none; the scan closes links innermost first
     rows: dict[int, list[Link]] = {}
-    for link in sorted(w.links):
-        rows.setdefault(row(link), []).append(link)
+    inner = [-1]  # per open link, outermost first: the highest row closed inside it
+    for p, q in enumerate(partner):
+        if q > p:
+            inner.append(-1)
+        elif q >= 0:
+            r = inner.pop() + 1
+            inner[-1] = max(inner[-1], r)
+            rows.setdefault(r, []).append((q, p))
+    if w.residue:
+        rows[len(rows)] = []  # a last row of residue strands only
     lines = [" ".join(tokens)]
     for r in range(len(rows)):
         line = [" "] * width
@@ -420,11 +422,6 @@ def _render_text(parts, w: ReductionWitness) -> str:
             line[cols[j]] = "|"
             for c in range(cols[i] + 1, cols[j]):
                 line[c] = "_"
-        for i in w.residue:
-            line[cols[i]] = "|"
-        lines.append("".join(line).rstrip())
-    if w.residue:
-        line = [" "] * width
         for i in w.residue:
             line[cols[i]] = "|"
         lines.append("".join(line).rstrip())

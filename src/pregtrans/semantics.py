@@ -7,8 +7,9 @@ contraction-path search, and each alpha component is inverted once, when
 its :class:`AlphaSpec` is made.
 
 Tensor fixture files are JSON {spaces: {atom: dim}, words: [{word, type,
-data}]} where data is either nested arrays or {"seed": n}; seeded data is
-generated by the 64-bit LCG below so fixtures reproduce bit-exactly.
+data}]} where data is either nested arrays of numbers or {"seed": n}; seeded
+data is generated by the 64-bit LCG below so fixtures reproduce bit-exactly,
+and a seeded word has at most MAX_SEEDED_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ from .core import (
     render_type,
 )
 from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
-from .reduction import ReductionWitness
+from .reduction import ReductionWitness, WitnessError
 
 # Knuth MMIX linear congruential generator; values mapped to [-1, 1).
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+
+# entries a seeded word tensor may have: far above any fixture (the largest
+# bundled or benchmarked word has 512), far below what exhausts memory
+MAX_SEEDED_ENTRIES = 1 << 20
 
 
 class SemanticsError(PregroupError):
@@ -151,11 +156,14 @@ def interpret(
     a later word or the merge leaves less than the top held.  What is left
     at the end merges left to right.  As the links of a reduction do not
     cross, a word is contracted with the words nested inside its links
-    before it meets anything outside them."""
+    before it meets anything outside them.  A witness that is not a planar
+    reduction of the concatenated word types raises SemanticsError."""
     flat = concat(wt.type for wt in tensors)
     n = len(flat)
-    if not witness.covers(n):
-        raise SemanticsError("witness does not match the concatenated word types")
+    try:
+        partner = witness.partners(n)
+    except WitnessError as exc:
+        raise SemanticsError(f"witness is not a planar reduction of the word types: {exc}") from exc
     dim = [spaces.dim(p.atom) for p in flat]
     for i, j in witness.links:
         if dim[i] != dim[j]:
@@ -163,13 +171,8 @@ def interpret(
     if not tensors:
         return np.array(1.0)
     # an axis is labelled by its position, both ends of a link by its left
-    # end; right_end[label] is the link's right end (-1: a residue axis)
-    label = list(range(n))
-    right_end = [-1] * n
-    for i, j in witness.links:
-        i, j = min(i, j), max(i, j)
-        label[i] = label[j] = i
-        right_end[i] = j
+    # end; so partner[label] is the link's right end (-1: a residue axis)
+    label = [q if -1 < q < p else p for p, q in enumerate(partner)]
     stack: list[tuple[np.ndarray, list[int]]] = []
     pos = 0
     for wt in tensors:
@@ -178,7 +181,7 @@ def interpret(
         data, labels = entry = _word_entry(wt.data, label[pos : pos + len(wt.type)])
         pos += len(wt.type)
         while stack and not set(stack[-1][1]).isdisjoint(labels):
-            if any(right_end[k] >= pos for k in labels):  # a link open to a later word
+            if any(partner[k] >= pos for k in labels):  # a link open to a later word
                 merged = set(stack[-1][1]) ^ set(labels)
                 if math.prod(dim[k] for k in merged) >= data.size:
                     break  # let the later words shrink the top first
@@ -362,11 +365,21 @@ def load_tensor_fixture(path: str | Path) -> tuple[SpaceAssignment, list[WordTen
         payload = word.get("data", (list, dict))
         if isinstance(payload, dict):
             seed = JsonObject(payload, f"{word.where}: field 'data'", SemanticsError)
+            if math.prod(shape) > MAX_SEEDED_ENTRIES:
+                raise SemanticsError(f"{seed.where}: a seeded tensor of shape {shape} has more "
+                                     f"than {MAX_SEEDED_ENTRIES} entries")
             array = lcg_array(seed.get("seed", int), shape)
         else:
+            leaves = [payload]
+            while leaves:  # np.asarray would read "1.5" and true as numbers
+                leaf = leaves.pop()
+                if type(leaf) is list:
+                    leaves += leaf
+                elif type(leaf) not in (int, float):
+                    raise SemanticsError(f"{word.where}: field 'data': {leaf!r} is not a number")
             try:
                 array = np.asarray(payload, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (ValueError, OverflowError) as exc:  # ragged, or an int past float range
                 raise SemanticsError(f"{word.where}: field 'data': {exc}") from exc
         name = word.get("word", str)
         tensors.append(word.wrap("data", make_word_tensor, name, t, array, spaces))

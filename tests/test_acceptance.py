@@ -30,7 +30,7 @@ from pregtrans.functors import (
     translate_sentence,
 )
 from pregtrans.lexicon import load_lexicon
-from pregtrans.reduction import enumerate_reductions, oracle_reduce, reduce
+from pregtrans.reduction import WitnessError, enumerate_reductions, oracle_reduce, reduce
 from pregtrans.semantics import (
     AlphaSpec,
     check_naturality,
@@ -308,7 +308,9 @@ def test_criterion_5_dp_vs_oracle():
         if fast != slow:
             mismatches += 1
         for w in fast:
-            if not (w.is_planar() and w.is_well_nested()):
+            try:
+                w.partners(len(parts))
+            except WitnessError:
                 non_planar += 1
     elapsed = time.perf_counter() - t0
     report(

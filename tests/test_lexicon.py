@@ -63,6 +63,21 @@ def test_braced_types_rejected_where_plain_types_are_meant(tmp_path, extra, mess
     assert str(p) in str(exc.value) and message in str(exc.value)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([{"word": "a", "types": ["a"], "aliases": ["b"]}, {"word": "b", "types": ["b"]}],
+     "alias 'b' of word 'a' is another entry's word"),
+    ([{"word": "c", "types": ["a"], "aliases": ["d"]},
+      {"word": "e", "types": ["b"], "aliases": ["d"]}],
+     "alias 'd' is claimed by 'c' and 'e'"),
+])
+def test_colliding_aliases_rejected(tmp_path, entries, message):
+    p = tmp_path / "aliases.json"
+    p.write_text(json.dumps({"language": "xx", "atoms": ["a", "b"], "entries": entries}))
+    with pytest.raises(LexiconError) as exc:
+        load_lexicon(p)
+    assert str(p) in str(exc.value) and message in str(exc.value)
+
+
 def test_cyclic_order_rejected(tmp_path):
     bad = {"language": "xx", "atoms": ["a", "b"], "order": [["a", "b"], ["b", "a"]], "entries": []}
     p = tmp_path / "cyc.json"
@@ -137,13 +152,6 @@ def test_bad_metarule_params():
 
 
 # ---- sentence typing and round trip ------------------------------------------
-
-def test_type_sentence(ja):
-    pairs = ja.type_sentence(["neko", "ga"])
-    assert pairs[0][0] == "neko"
-    assert [render_type(t) for t in pairs[0][1]] == ["n"]
-    assert len(pairs[1][1]) == 2  # subject particle and conjunction readings
-
 
 @pytest.mark.parametrize("name", ["ja", "ja_mini", "en", "fa", "ro"])
 def test_save_load_roundtrip(name, tmp_path):

@@ -32,12 +32,13 @@ KINDS = {
 }
 
 # words a loader gives meaning to, so a draw can reach the checks past
-# the JSON types; integers stay small, as a dimension such as 2**40 asks
-# the seeded generator for more memory than any machine has
+# the JSON types; integers are small, or large enough that a dimension
+# such as 2**40 would ask the seeded generator for more memory than any
+# machine has
 WORDS = ["", "n", "s", "o1", "o4", "q", "n^l", "n^r o5", "b(n)", "< n >", "n s^l",
          "argument-swap", "atom-expansion", "slot-flip",
          "homomorphism", "antihomomorphism", "bracewise", "seed"]
-SCALARS = (st.none() | st.booleans() | st.integers(-2, 8)
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 8) | st.integers(2**20, 2**40)
            | st.floats(allow_nan=False, allow_infinity=False)
            | st.sampled_from(WORDS) | st.text("no1s^lr<>b() ", max_size=8))
 JSON_VALUES = st.recursive(

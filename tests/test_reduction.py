@@ -1,5 +1,7 @@
 """Reduction engine: golden witnesses, DP-vs-brute-force, diagram rendering."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from pregtrans.core import AtomTable, CompoundType, SimpleType, parse_type
 from pregtrans.reduction import (
     OracleSizeError,
     ReductionWitness,
+    WitnessError,
     enumerate_reductions,
     oracle_reduce,
     oracle_selections,
@@ -132,9 +135,73 @@ def test_witnesses_are_planar_and_well_nested(parts):
     t = CompoundType(tuple(parts))
     goal = CompoundType((SimpleType("b"),))
     for w in enumerate_reductions(t, goal, TABLE):
-        assert w.is_planar()
-        assert w.is_well_nested()
-        assert w.covers(len(t.parts))
+        w.partners(len(t.parts))  # raises WitnessError unless planar, well-nested and covering
+
+
+# the predicates the scan replaced, kept as its reference
+
+def covers(w, n):
+    touched = sorted([i for link in w.links for i in link] + list(w.residue))
+    return touched == list(range(n))
+
+
+def is_planar(w):
+    links = sorted(w.links)
+    for a, (i, j) in enumerate(links):
+        for i2, j2 in links[a + 1 :]:
+            if i < i2 < j < j2:
+                return False
+    return True
+
+
+def is_well_nested(w):
+    # every interior position of a link must itself be linked inside it
+    for i, j in w.links:
+        for k in range(i + 1, j):
+            partners = [l for l in w.links if k in l]
+            if not partners:
+                return False
+            (a, b), = partners
+            if not (i < a and b < j) and (a, b) != (i, j):
+                return False
+    return True
+
+
+@st.composite
+def drawn_witnesses(draw):
+    """A witness over n <= 10 positions: some positions paired off into
+    links in random order, so that links may cross or nest and residue may
+    lie under a link, the rest residue; then perhaps edited: a residue
+    position linked to any position, a link dropped and residue added, so
+    that links share ends or leave range and positions are missing or
+    touched twice."""
+    n = draw(st.integers(0, 10))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n // 2))
+    links = [tuple(sorted(order[2 * i : 2 * i + 2])) for i in range(k)]
+    residue = order[2 * k :]
+    if draw(st.booleans()):
+        position = st.integers(-1, n)
+        if residue:
+            links.append(tuple(sorted((residue.pop(), draw(position)))))
+        links = links[draw(st.integers(0, 1)) :]
+        residue += draw(st.lists(position, max_size=2))
+    return n, ReductionWitness(frozenset(links), tuple(residue))
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn_witnesses())
+def test_scan_accepts_exactly_what_the_old_predicates_accept(drawn):
+    n, w = drawn
+    expected = covers(w, n) and is_planar(w) and is_well_nested(w)
+    try:
+        partner = w.partners(n)
+    except WitnessError:
+        assert not expected
+    else:
+        assert expected
+        assert all(partner[i] == j and partner[j] == i for i, j in w.links)
+        assert all(partner[r] == -1 for r in w.residue)
 
 
 def test_oracle_size_guard():
@@ -157,6 +224,39 @@ def test_render_text_nested_links():
     out = render_diagram(t, ws[0])
     assert out.splitlines()[0] == "n n^l n n^r n n^l n"
     assert out.count("\n") >= 2  # nested links need a second row
+
+
+@pytest.mark.parametrize("links, residue", [
+    ({(1, 0), (2, 3)}, ()),  # a link's ends out of order
+    ({(0, 2), (1, 3)}, ()),  # crossing links
+    ({(0, 3)}, (1, 2)),  # residue under a link
+])
+def test_render_rejects_witnesses_that_are_not_planar_reductions(links, residue):
+    t = parse_type("n n^r n n^r", NS)
+    for format in ("text", "dot"):
+        with pytest.raises(WitnessError):
+            render_diagram(t, ReductionWitness(frozenset(links), residue), format=format)
+
+
+def test_render_text_of_deep_nesting_is_fast():
+    # 22 nested links: one row each, found in one pass, not per inner link
+    table = AtomTable({"a", "s"})
+    t = parse_type("a " * 22 + "a^r " * 22 + "s", table)
+    w = reduce(t, parse_type("s", table), table)
+    start = time.perf_counter()
+    out = render_diagram(t, w)
+    assert time.perf_counter() - start < 0.5
+    assert len(out.splitlines()) == 1 + 22 + 1  # types, a row per link, residue
+
+
+def test_render_dot_of_deep_nesting():
+    k = 1500
+    t = CompoundType((SimpleType("a"),) * k + (SimpleType("a", 1),) * k)
+    w = ReductionWitness(frozenset((i, 2 * k - 1 - i) for i in range(k)), ())
+    start = time.perf_counter()
+    dot = render_diagram(t, w, format="dot")
+    assert time.perf_counter() - start < 0.5
+    assert dot.count(" -- t") == k
 
 
 def test_render_dot_deterministic():

@@ -10,7 +10,7 @@ from pregtrans import data as bundled
 from pregtrans.core import AtomTable, CompoundType, SimpleType, concat, parse_type
 from pregtrans.functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
 from pregtrans.lexicon import load_lexicon
-from pregtrans.reduction import enumerate_reductions, reduce
+from pregtrans.reduction import ReductionWitness, enumerate_reductions, reduce
 from pregtrans.semantics import (
     AlphaSpec,
     SemanticsError,
@@ -255,6 +255,19 @@ def test_interpret_rejects_mismatched_witness():
         interpret(w, tensors[:-1], spaces)
 
 
+@pytest.mark.parametrize("links, residue", [
+    ({(0, 2), (1, 3)}, ()),  # crossing links
+    ({(0, 3)}, (1, 2)),  # residue under a link
+])
+def test_interpret_rejects_witnesses_that_are_not_planar_reductions(links, residue):
+    table = AtomTable({"n"})
+    spaces = SpaceAssignment.make({"n": 2})
+    t = parse_type("n n^r", table)
+    tensors = [make_word_tensor(w, t, np.arange(4.0).reshape(2, 2), spaces) for w in "ab"]
+    with pytest.raises(SemanticsError, match="not a planar reduction"):
+        interpret(ReductionWitness(frozenset(links), residue), tensors, spaces)
+
+
 # ---- alpha -----------------------------------------------------------------------
 
 def test_alpha_requires_invertible_components():
@@ -413,6 +426,14 @@ def test_naturality_rejects_bracewise_mode():
     (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": {"seed": False}}]}),
      "words[0]: field 'data': field 'seed'"),
     (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": [{"a": 1}]}]}),
+     "words[0]: field 'data'"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": ["1.5", 2]}]}),
+     "words[0]: field 'data': '1.5' is not a number"),
+    (json.dumps({"spaces": {"n": 2}, "words": [{"word": "w", "type": "n", "data": [1.5, True]}]}),
+     "words[0]: field 'data': True is not a number"),
+    (json.dumps({"spaces": {"n": 2**40}, "words": [{"word": "w", "type": "n", "data": {"seed": 1}}]}),
+     "words[0]: field 'data': a seeded tensor"),
+    (json.dumps({"spaces": {"n": 1}, "words": [{"word": "w", "type": "n", "data": [10**400]}]}),
      "words[0]: field 'data'"),
 ])
 def test_bad_tensor_fixture_names_file_and_field(tmp_path, text, message):
