@@ -4,7 +4,9 @@ naturality checks for translations.
 
 ``interpret`` contracts in an order read off the witness, with no
 contraction-path search, and each alpha component is inverted once, when
-its :class:`AlphaSpec` is made.
+its :class:`AlphaSpec` is made.  Every pairwise step, a stack merge in
+``interpret`` or one axis carried by alpha, is one transpose, reshape to
+2-D, matmul and reshape back.
 
 Tensor fixture files are JSON {spaces: {atom: dim}, words: [{word, type,
 data}]} where data is either nested arrays of numbers or {"seed": n}; seeded
@@ -153,11 +155,16 @@ def interpret(
     The contraction order is read off the witness, with no path search.
     Word tensors are pushed left to right, and the top two stack entries
     merge while they share a link and either the top has no link open to
-    a later word or the merge leaves less than the top held.  What is left
-    at the end merges left to right.  As the links of a reduction do not
-    cross, a word is contracted with the words nested inside its links
-    before it meets anything outside them.  A witness that is not a planar
-    reduction of the concatenated word types raises SemanticsError."""
+    a later word or the merge leaves less than the top held.  A scalar
+    on top (a word whose links all lie inside it, or a merge that closed
+    every link it held) merges into the entry below at once, so it never
+    keeps two entries that share a link apart.  What is left at the end
+    merges left to right.  As the links of a reduction do not cross, a
+    word is contracted with the words nested inside its links before it
+    meets anything outside them.  Each merge is one matmul of the two
+    entries laid out as (open, shared) and (shared, open) matrices.  A
+    witness that is not a planar reduction of the concatenated word types
+    raises SemanticsError."""
     flat = concat(wt.type for wt in tensors)
     n = len(flat)
     try:
@@ -180,7 +187,7 @@ def interpret(
             raise SemanticsError(f"{wt.word!r}: tensor shape mismatch")
         data, labels = entry = _word_entry(wt.data, label[pos : pos + len(wt.type)])
         pos += len(wt.type)
-        while stack and not set(stack[-1][1]).isdisjoint(labels):
+        while stack and (not labels or not set(stack[-1][1]).isdisjoint(labels)):
             if any(partner[k] >= pos for k in labels):  # a link open to a later word
                 merged = set(stack[-1][1]) ^ set(labels)
                 if math.prod(dim[k] for k in merged) >= data.size:
@@ -205,11 +212,16 @@ def _word_entry(data: np.ndarray, labels: list[int]) -> tuple[np.ndarray, list[i
 
 def _merge(left, right) -> tuple[np.ndarray, list[int]]:
     """Two stack entries contracted along the labels they share (none: their
-    outer product); the left entry's open axes come first."""
+    outer product) as one matmul; the left entry's open axes come first."""
     (x, xs), (y, ys) = left, right
     shared = [k for k in xs if k in ys]
-    data = np.tensordot(x, y, axes=([xs.index(k) for k in shared], [ys.index(k) for k in shared]))
-    return data, [k for k in xs if k not in shared] + [k for k in ys if k not in shared]
+    xfree = [k for k in xs if k not in shared]
+    yfree = [k for k in ys if k not in shared]
+    x = x.transpose([xs.index(k) for k in xfree + shared])
+    y = y.transpose([ys.index(k) for k in shared + yfree])
+    xshape, yshape = x.shape[: len(xfree)], y.shape[len(shared) :]
+    data = x.reshape(math.prod(xshape), -1) @ y.reshape(-1, math.prod(yshape))
+    return data.reshape(xshape + yshape), xfree + yfree
 
 
 @dataclass(frozen=True)
@@ -259,6 +271,11 @@ def apply_alpha(
     ``reverse`` (an anti-homomorphism's image)."""
     override = alpha.override(t.word)
     if override is not None:
+        if override.type != image_type:
+            raise SemanticsError(
+                f"{t.word!r}: override has type {render_type(override.type)!r}, "
+                f"not the image type {render_type(image_type)!r}"
+            )
         return override
     if len(image_type) != len(t.type):
         raise SemanticsError(
@@ -277,10 +294,13 @@ def _carry(alpha: AlphaSpec, data: np.ndarray, axes) -> np.ndarray:
     """Transform axis k of ``data`` by the component map of the k-th atom
     in ``axes`` (atom, exponent) pairs, one pair per axis, or by its
     inverse transpose where the exponent is odd, so every epsilon pairing
-    is preserved.  Each step maps the leading axis and appends the result
-    last, so after one pass over all axes they are back in order."""
+    is preserved.  Each step is one matmul, (rest, leading axis) times the
+    map's transpose, so the mapped axis comes last, and after one pass over
+    all axes they are back in order."""
     for atom, exponent in axes:
-        data = np.tensordot(data, alpha.component(atom, exponent), axes=(0, 1))
+        d, rest = data.shape[0], data.shape[1:]
+        mat = alpha.component(atom, exponent)
+        data = (data.reshape(d, math.prod(rest)).T @ mat.T).reshape(rest + (d,))
     return data
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pregtrans import data as bundled
+from pregtrans import semantics
 from pregtrans.core import AtomTable, CompoundType, SimpleType, concat, parse_type
 from pregtrans.functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
 from pregtrans.lexicon import load_lexicon
@@ -180,8 +181,10 @@ def einsum_greedy(witness, tensors):
 
 def contraction_cases():
     """(name, word types, goal): coordinations with k = 2-5 conjuncts, a
-    sentence contracting to a scalar, one-word sentences, and links inside
-    one word."""
+    sentence contracting to a scalar, one-word sentences, links inside one
+    word, an outer product (no word shares a link with another), two words
+    sharing two links, and a word or a pair of words contracting to a
+    scalar inside two links."""
     for k in range(2, 6):
         yield f"adj-{k}", ["n n^l", "n"] + ["n^r n n^l", "n"] * (k - 1), "n"
         yield f"eat-{k}", ["n", "n^r s n^l", "n"] + ["n^r n n^l", "n"] * (k - 1), "s"
@@ -189,33 +192,83 @@ def contraction_cases():
     yield "one-word", ["n^r s n^l"], "n^r s n^l"
     yield "one-word-scalar", ["n n^r"], ""
     yield "inner-link", ["s n^l", "n o5 o5^r", "s^r"], ""
+    yield "outer-product", ["n", "n"], "n n"
+    yield "two-links", ["n s", "s^r n^r"], ""
+    yield "traced-scalar-inside", ["n^l", "s^l", "o5 o5^r", "s", "n"], ""
+    yield "merged-scalar-inside", ["n^l", "s^l", "o5", "o5^r", "s", "n"], ""
 
 
-@pytest.mark.parametrize("name, words, goal", list(contraction_cases()))
-def test_interpret_matches_einsum_with_path_search(name, words, goal):
+FIXTURES = [("pigeons", "s"), ("adj_noun", "n"), ("mori", "s")]
+
+
+def case_samples(words, goal):
+    """(witness, tensors, spaces) for every witness of a contraction case:
+    three random dimension sets (1-4 per atom), then every atom at dimension
+    1, each with normal random word tensors."""
     rng = np.random.default_rng(0)
     types = [parse_type(w, EN) for w in words]
     witnesses = enumerate_reductions(concat(types), parse_type(goal, EN), EN)
     assert witnesses
     for w in witnesses:
-        for _ in range(3):
-            dims = {a: int(rng.integers(1, 5)) for a in EN.atoms}
+        dim_sets = [{a: int(rng.integers(1, 5)) for a in sorted(EN.atoms)} for _ in range(3)]
+        for dims in dim_sets + [dict.fromkeys(EN.atoms, 1)]:
             spaces = SpaceAssignment.make(dims)
             tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
                        for i, t in enumerate(types)]
-            got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+            yield w, tensors, spaces
 
 
-@pytest.mark.parametrize("name, target", [("pigeons", "s"), ("adj_noun", "n"), ("mori", "s")])
-def test_interpret_matches_einsum_on_bundled_fixtures(name, target):
+def fixture_samples(name, target):
+    """(witness, tensors, spaces) for every witness of a bundled fixture."""
     spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
     table = AtomTable(dict(spaces.dims).keys())
-    for w in enumerate_reductions(flat_type(tensors), parse_type(target, table), table):
+    witnesses = enumerate_reductions(flat_type(tensors), parse_type(target, table), table)
+    assert witnesses
+    for w in witnesses:
+        yield w, tensors, spaces
+
+
+@pytest.mark.parametrize("name, words, goal", list(contraction_cases()))
+def test_interpret_matches_einsum_with_path_search(name, words, goal):
+    for w, tensors, spaces in case_samples(words, goal):
         got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+
+
+@pytest.mark.parametrize("name, target", FIXTURES)
+def test_interpret_matches_einsum_on_bundled_fixtures(name, target):
+    for w, tensors, spaces in fixture_samples(name, target):
+        got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+
+
+SAMPLES = [pytest.param(case_samples, words, goal, id=name)
+           for name, words, goal in contraction_cases()]
+SAMPLES += [pytest.param(fixture_samples, name, target, id=name) for name, target in FIXTURES]
+
+
+@pytest.mark.parametrize("samples, words, goal", SAMPLES)
+def test_no_intermediate_is_larger_than_greedys_memory_limit(samples, words, goal, monkeypatch):
+    # greedy's own largest intermediate can be smaller: on "scalar" with
+    # n = 2, s = 3 it contracts the verb with s^r first (4 entries), while
+    # the witness order contracts it with the subject first (6 entries)
+    sizes = []
+    merge = semantics._merge
+
+    def recording_merge(left, right):
+        data, labels = merge(left, right)
+        sizes.append(data.size)
+        return data, labels
+
+    monkeypatch.setattr(semantics, "_merge", recording_merge)
+    for w, tensors, spaces in samples(words, goal):
+        sizes.clear()
+        result = interpret(w, tensors, spaces)
+        # the cap numpy's greedy path search holds its intermediates to
+        limit = max([wt.data.size for wt in tensors] + [result.size])
+        assert max(sizes, default=0) <= limit, (w, sizes)
 
 
 def test_interpret_subject_verb_object():
@@ -351,6 +404,12 @@ def test_apply_alpha_word_override():
     repl = make_word_tensor("w", parse_type("n", EN), [5.0, 5.0], spaces)
     alpha = AlphaSpec.make({"n": np.eye(2)}, {"w": repl})
     assert np.array_equal(apply_alpha(alpha, src, parse_type("n", EN), reverse=False).data, [5.0, 5.0])
+    repl = make_word_tensor("w", parse_type("s^r s s", EN), np.zeros((2, 2, 2)),
+                            SpaceAssignment.make({"s": 2}))
+    alpha = AlphaSpec.make({"n": np.eye(2)}, {"w": repl})
+    with pytest.raises(SemanticsError, match=r"'w': override has type 's\^r s s', not the image "
+                                             r"type 'n'"):
+        apply_alpha(alpha, src, parse_type("n", EN), reverse=False)
 
 
 # ---- naturality squares ------------------------------------------------------------
@@ -394,6 +453,28 @@ def test_naturality_holds_for_unrelated_invertible_components():
     )
     report = check_naturality(alpha, src_w, tensors, anti, tgt_w, 1e-9)
     assert report.ok
+
+
+@pytest.mark.parametrize("mode", ["homomorphism", "antihomomorphism"])
+def test_naturality_square_with_a_scalar_residue(mode):
+    # the sentence contracts to a scalar, so the residue carry maps no axis
+    rng = np.random.default_rng(3)
+    dims = {a: int(rng.integers(2, 5)) for a in sorted(EN.atoms)}
+    spaces = SpaceAssignment.make(dims)
+    types = [parse_type(w, EN) for w in ["n", "n^r s n^l", "n", "s^r"]]
+    tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
+               for i, t in enumerate(types)]
+    functor = FunctorSpec("x", "y", mode, IDENTITY_MAP, EN)
+    image = (apply_antihomomorphism if functor.reverses else apply_homomorphism)(
+        functor, concat(types))
+    src_w, tgt_w = reduce(concat(types), CompoundType(), EN), reduce(image, CompoundType(), EN)
+    alpha = AlphaSpec.make({a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d))
+                            for a, d in dims.items()})
+    want = brute_force(src_w, tensors, spaces)
+    assert want.shape == ()
+    assert np.abs(interpret(src_w, tensors, spaces) - want) <= 1e-12 * max(abs(want), 1)
+    report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9)
+    assert report.max_residual <= 1e-12 * max(abs(want), 1)
 
 
 def test_naturality_rejects_bracewise_mode():
