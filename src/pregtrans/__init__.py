@@ -20,7 +20,6 @@ from .core import (
 from .reduction import (
     ReductionWitness,
     enumerate_reductions,
-    oracle_reduce,
     reduce,
     render_diagram,
     type_selections,
@@ -58,5 +57,6 @@ from .semantics import (
     interpret,
     load_tensor_fixture,
 )
+from .checks import oracle_reduce
 
 __version__ = "0.1.0"

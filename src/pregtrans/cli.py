@@ -8,40 +8,28 @@ whitespace, `|` separates brace segments, and `@0` is the empty word.
 from __future__ import annotations
 
 import json
-import random
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import data as bundled
+from . import checks, data as bundled
 from .core import (
     AtomTable,
     CompoundType,
     PregroupError,
     concat,
     parse_plain_type,
-    parse_type,
     render_type,
 )
 from .functors import (
-    FunctorSpec,
     NotTranslatableError,
-    apply_functor,
-    check_functor_laws,
     load_functor,
     load_wordmap,
     translate_sentence,
 )
 from .lexicon import UnknownWordError, load_lexicon
-from .reduction import oracle_selections, reduce, render_diagram, type_selections
-from .semantics import (
-    AlphaSpec,
-    check_naturality,
-    lcg_array,
-    load_tensor_fixture,
-)
+from .reduction import render_diagram, type_selections
 
 EXIT_CONFIG = 1
 EXIT_LINGUISTIC = 2
@@ -219,106 +207,16 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
     sys.exit(exit_code)
 
 
-def _law_suite() -> list[str]:
-    from .core import left_adjoint, right_adjoint, SimpleType, contracts
-
-    table = AtomTable({"a", "b", "c", "d"}, [("a", "b")])
-    rng = random.Random(0)
-    failures = []
-
-    def random_type(max_len=6):
-        parts = tuple(
-            SimpleType(rng.choice("abcd"), rng.randint(-2, 2), rng.random() < 0.2)
-            for _ in range(rng.randint(0, max_len))
-        )
-        return CompoundType(parts)
-
-    for _ in range(1000):
-        t, u = random_type(), random_type()
-        if right_adjoint(left_adjoint(t)) != t or left_adjoint(right_adjoint(t)) != t:
-            failures.append(f"involution fails on {render_type(t)!r}")
-        if left_adjoint(t + u) != left_adjoint(u) + left_adjoint(t):
-            failures.append(f"anti-distribution fails on {render_type(t + u)!r}")
-        for p in t.parts:
-            if not contracts(p, p.right, table) or not contracts(p.left, p, table):
-                failures.append(f"contraction law fails on {p.render()!r}")
-    if left_adjoint(CompoundType()) != CompoundType():
-        failures.append("unit law fails")
-
-    en = AtomTable({"a", "b", "c", "d"})
-    samples = [random_type(3) for _ in range(20)]
-    for mode in ("homomorphism", "antihomomorphism"):
-        spec = FunctorSpec(
-            "x", "y", mode, {a: parse_type(a, en) for a in "abcd"}, en
-        )
-        report = check_functor_laws(spec, samples)
-        if not report.ok:
-            failures.append(f"{mode} law violations: {len(report.violations)}")
-    return failures
-
-
-# name, tensor fixture, functor mode, goal, LCG seed of each atom's alpha component
-_SQUARES = (
-    ("adjective-noun", "adj_noun", "homomorphism", "n", {"n": 1}),
-    ("five-word", "mori", "antihomomorphism", "s", {"n": 2, "o1": 2, "o5": 2, "s": 3}),
-)
-
-
-def _naturality_suite(tol: float) -> list[str]:
-    failures = []
-    en_table = AtomTable({"n", "s", "o1", "o2", "o5"})
-    identity_map = {a: parse_type(a, en_table) for a in en_table.atoms}
-    for name, fixture, mode, goal, seeds in _SQUARES:
-        spaces, tensors = load_tensor_fixture(bundled.tensor_path(fixture))
-        table = AtomTable(dict(spaces.dims).keys())
-        flat = concat(wt.type for wt in tensors)
-        src_w = reduce(flat, parse_type(goal, table), table)
-        functor = FunctorSpec("ja", "en", mode, identity_map, en_table)
-        tgt_w = reduce(apply_functor(functor, flat), parse_type(goal, en_table), en_table)
-        alpha = AlphaSpec.make({
-            atom: np.eye(spaces.dim(atom)) + 0.2 * lcg_array(seed, (spaces.dim(atom),) * 2)
-            for atom, seed in seeds.items()
-        })
-        report = check_naturality(alpha, src_w, tensors, functor, tgt_w, tol)
-        if not report.ok:
-            failures.append(f"{name} square residual {report.max_residual:.3e}")
-    return failures
-
-
-def _oracle_suite(max_len: int, count: int) -> list[str]:
-    """Random tokens of one to three alternative types, at most ``max_len``
-    simple types per selection and 27 selections per sentence: the search
-    must pick the same selections, in order, with the same witnesses as
-    the brute-force oracle."""
-    from .core import SimpleType
-
-    table = AtomTable({"a", "b", "c", "d"}, [("a", "b")])
-    rng = random.Random(42)
-    failures = []
-    goal = CompoundType((SimpleType("b"),))
-    for _ in range(count):
-        alternatives, room, selections = [], rng.randint(0, max_len), 1
-        while room > 0:
-            size = rng.randint(1, min(room, 3))
-            ways = rng.randint(1, 3) if selections * 3 <= 27 else 1
-            alternatives.append([
-                CompoundType(tuple(
-                    SimpleType(rng.choice("abb"), rng.randint(-1, 1))
-                    for _ in range(rng.randint(0, size))
-                ))
-                for _ in range(ways)
-            ])
-            room, selections = room - size, selections * ways
-        fast = [(s, set(w.witnesses())) for s, w in type_selections(alternatives, goal, table)]
-        slow = [(s, set(ws)) for s, ws in oracle_selections(alternatives, goal, table)]
-        if fast != slow:
-            shown = " ".join("{" + " | ".join(map(render_type, a)) + "}" for a in alternatives)
-            failures.append(f"mismatch on {shown}")
-    return failures
+# suite -> its failures, given --tol, --max-len and --count
+_SUITES = {
+    "laws": lambda tol, max_len, count: checks.law_failures(),
+    "naturality": lambda tol, max_len, count: checks.naturality_failures(tol),
+    "oracle": lambda tol, max_len, count: checks.oracle_failures(max_len, count),
+}
 
 
 @main.command(name="check")
-@click.argument("suite", type=click.Choice(["laws", "naturality", "oracle"]))
+@click.argument("suite", type=click.Choice(list(_SUITES)))
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--max-len", default=8, show_default=True)
 @click.option("--count", default=300, show_default=True)
@@ -326,12 +224,12 @@ def _oracle_suite(max_len: int, count: int) -> list[str]:
 def cmd_check(suite, tol, max_len, count, fmt):
     """Run a property suite: pregroup/functor laws, naturality squares,
     or the DP-versus-brute-force reduction oracle."""
-    if suite == "laws":
-        failures = _law_suite()
-    elif suite == "naturality":
-        failures = _naturality_suite(tol)
-    else:
-        failures = _oracle_suite(max_len, count)
+    if suite == "oracle":
+        if max_len < 0:
+            raise CliError("--max-len must be at least 0")
+        if count < 1:
+            raise CliError("--count must be at least 1")
+    failures = _SUITES[suite](tol, max_len, count)
     if fmt == "json":
         click.echo(json.dumps({"suite": suite, "ok": not failures, "failures": failures}))
     else:

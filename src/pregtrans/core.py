@@ -281,6 +281,11 @@ def concat(types: Iterable[CompoundType]) -> CompoundType:
     return CompoundType(tuple(p for t in types for p in t.parts))
 
 
+def flatten(t: Type) -> CompoundType:
+    """``t`` as one compound type: a braced type's segments concatenated."""
+    return t.flatten() if isinstance(t, BracedType) else t
+
+
 def left_adjoint(t: CompoundType) -> CompoundType:
     """(xy)^l = y^l x^l: reverse the parts and decrement every exponent."""
     return CompoundType(tuple(p.left for p in reversed(t.parts)))

@@ -28,6 +28,7 @@ from .core import (
     SimpleType,
     Type,
     concat,
+    flatten,
     left_adjoint,
     parse_plain_type,
     parse_type,
@@ -202,7 +203,7 @@ def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
 def apply_functor(f: FunctorSpec, t: Type) -> Type:
     if f.mode == "bracewise":
         return apply_bracewise(f, t if isinstance(t, BracedType) else BracedType((t,)))
-    return _image(f, t.flatten() if isinstance(t, BracedType) else t, f.reverses)
+    return _image(f, flatten(t), f.reverses)
 
 
 @dataclass(frozen=True)
@@ -236,20 +237,17 @@ def check_functor_laws(f: FunctorSpec, samples: list[CompoundType]) -> FunctorLa
 
     anti = f.reverses
     apply = apply_antihomomorphism if anti else apply_homomorphism
+    product = "F(xy) = F(y)F(x)" if anti else "F(xy) = F(x)F(y)"
+    adjoints = [("l", left_adjoint), ("r", right_adjoint)]
+    images = adjoints[::-1] if anti else adjoints  # the adjoint each one maps to
     for x in samples:
         for y in samples:
-            image = apply(f, x + y)
-            if anti:
-                expect("F(xy) = F(y)F(x)", x + y, image, apply(f, y) + apply(f, x))
-            else:
-                expect("F(xy) = F(x)F(y)", x + y, image, apply(f, x) + apply(f, y))
+            first, second = (y, x) if anti else (x, y)
+            expect(product, x + y, apply(f, x + y), apply(f, first) + apply(f, second))
     for x in samples:
-        if anti:
-            expect("F(x^l) = F(x)^r", x, apply(f, left_adjoint(x)), right_adjoint(apply(f, x)))
-            expect("F(x^r) = F(x)^l", x, apply(f, right_adjoint(x)), left_adjoint(apply(f, x)))
-        else:
-            expect("F(x^l) = F(x)^l", x, apply(f, left_adjoint(x)), left_adjoint(apply(f, x)))
-            expect("F(x^r) = F(x)^r", x, apply(f, right_adjoint(x)), right_adjoint(apply(f, x)))
+        for (side, adjoint), (image_side, image_adjoint) in zip(adjoints, images):
+            expect(f"F(x^{side}) = F(x)^{image_side}", x,
+                   apply(f, adjoint(x)), image_adjoint(apply(f, x)))
     return FunctorLawReport(tuple(violations))
 
 

@@ -25,13 +25,10 @@ from typing import NamedTuple
 
 from .core import (
     AtomTable,
-    BracedType,
     CompoundType,
     PregroupError,
     Type,
-    concat,
-    contracts,
-    simple_leq,
+    flatten,
 )
 
 DEFAULT_LIMIT = 1024
@@ -40,10 +37,6 @@ Link = tuple[int, int]
 
 
 class WitnessError(PregroupError):
-    pass
-
-
-class OracleSizeError(PregroupError):
     pass
 
 
@@ -87,10 +80,6 @@ class ReductionWitness(NamedTuple):
         return partner
 
 
-def _flatten(t: Type) -> CompoundType:
-    return t.flatten() if isinstance(t, BracedType) else t
-
-
 _STOP = (-1, -1)  # memo move: take the empty path
 
 
@@ -113,12 +102,12 @@ class SpanSearch:
         self.below = [table.below[g] for g in self.goal] + [()]
         self.eps: dict[int, frozenset[int]] = {}  # nodes reached over empty alternatives
         if all(len(a) == 1 for a in alternatives):
-            self.parts = [x for a in alternatives for x in _flatten(a[0]).parts]
+            self.parts = [x for a in alternatives for x in flatten(a[0]).parts]
             n = self.end = len(self.parts)
             self.src, self.dst, self.par = range(n), range(1, n + 1), None
             self.out = [(u,) for u in range(n)] + [()]
         else:
-            self._layout([[_flatten(a).parts for a in alts] for alts in alternatives])
+            self._layout([[flatten(a).parts for a in alts] for alts in alternatives])
         self.width, self.depth = self.end + 1, self.m + 1
         self.linked: list[list[int] | None] = [None] * len(self.parts)  # see linkable()
         self.memo: dict[int, object] = {}  # state -> False or its first move
@@ -336,52 +325,10 @@ def reduce(input: Type, target: CompoundType, table: AtomTable) -> ReductionWitn
     return found[0] if found else None
 
 
-def oracle_reduce(input: Type, target: CompoundType, table: AtomTable) -> list[ReductionWitness]:
-    """Brute-force reference: apply single adjacent contractions in every
-    order and collect the distinct witnesses whose remainder matches the
-    target pointwise.  Test-only; guarded against blow-up."""
-    parts = _flatten(input).parts
-    if len(parts) > 12:
-        raise OracleSizeError(f"oracle limited to length <= 12, got {len(parts)}")
-    goal = target.parts
-    results: set[ReductionWitness] = set()
-    seen: set[tuple] = set()
-
-    def walk(state: tuple[int, ...], links: frozenset[Link]):
-        key = (state, links)
-        if key in seen:
-            return
-        seen.add(key)
-        if len(state) == len(goal) and all(
-            simple_leq(parts[i], g, table) for i, g in zip(state, goal)
-        ):
-            results.add(ReductionWitness(links, state))
-        for p in range(len(state) - 1):
-            i, j = state[p], state[p + 1]
-            if contracts(parts[i], parts[j], table):
-                walk(state[:p] + state[p + 2 :], links | {(i, j)})
-
-    walk(tuple(range(len(parts))), frozenset())
-    return sorted(results, key=lambda w: w.sort_key)
-
-
-def oracle_selections(alternatives, target: CompoundType, table: AtomTable) -> list:
-    """Brute-force reference for :func:`type_selections`: each selection in
-    ``itertools.product`` order with the witnesses :func:`oracle_reduce`
-    finds, for the selections that have some.  Test-only."""
-    found = []
-    for selection in itertools.product(*alternatives):
-        flat = concat(_flatten(t) for t in selection)
-        witnesses = oracle_reduce(flat, target, table)
-        if witnesses:
-            found.append((selection, witnesses))
-    return found
-
-
 def render_diagram(input: Type, w: ReductionWitness, format: str = "text") -> str:
     """Render a reduction witness; ``text`` draws ASCII under-brackets,
     ``dot`` emits a deterministic graph description."""
-    parts = _flatten(input).parts
+    parts = flatten(input).parts
     partner = w.partners(len(parts))
     if format == "dot":
         return _render_dot(parts, w)

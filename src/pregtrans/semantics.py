@@ -300,6 +300,11 @@ def _carry(alpha: AlphaSpec, data: np.ndarray, axes) -> np.ndarray:
     for atom, exponent in axes:
         d, rest = data.shape[0], data.shape[1:]
         mat = alpha.component(atom, exponent)
+        if len(mat) != d:
+            raise SemanticsError(
+                f"component for {atom!r} is {len(mat)}x{len(mat)}, "
+                f"but the axis it carries has dimension {d}"
+            )
         data = (data.reshape(d, math.prod(rest)).T @ mat.T).reshape(rest + (d,))
     return data
 

@@ -11,17 +11,9 @@ import numpy as np
 import pytest
 
 from pregtrans import data as bundled
-from pregtrans.core import (
-    AtomTable,
-    CompoundType,
-    SimpleType,
-    left_adjoint,
-    parse_type,
-    render_type,
-    right_adjoint,
-)
+from pregtrans.checks import SQUARES, law_failures, oracle_reduce, square, square_alpha
+from pregtrans.core import AtomTable, CompoundType, SimpleType, concat, parse_type, render_type
 from pregtrans.functors import (
-    FunctorSpec,
     apply_antihomomorphism,
     apply_bracewise,
     check_functor_laws,
@@ -30,9 +22,8 @@ from pregtrans.functors import (
     translate_sentence,
 )
 from pregtrans.lexicon import load_lexicon
-from pregtrans.reduction import WitnessError, enumerate_reductions, oracle_reduce, reduce
+from pregtrans.reduction import WitnessError, enumerate_reductions, reduce
 from pregtrans.semantics import (
-    AlphaSpec,
     check_naturality,
     epsilon,
     eta,
@@ -71,9 +62,7 @@ def sentence_witnesses(lex, tokens, target, limit=1024):
     for sel in itertools.product(
         *[sorted(lex.types_of(t), key=render_type) for t in tokens]
     ):
-        flat = CompoundType()
-        for t in sel:
-            flat = flat + t
+        flat = concat(sel)
         for w in enumerate_reductions(flat, goal, lex.table, limit=limit):
             found.append((flat, w))
     return found
@@ -269,25 +258,9 @@ def test_criterion_4_translations():
 # -----------------------------------------------------------------------------
 
 def test_criterion_5_pregroup_identities():
-    rng = random.Random(2024)
-    atoms = ["a", "b", "c", "d"]
-    failures = 0
-    for _ in range(1000):
-        parts = tuple(
-            SimpleType(rng.choice(atoms), rng.randint(-3, 3), rng.random() < 0.3)
-            for _ in range(rng.randint(0, 8))
-        )
-        t = CompoundType(parts)
-        u = CompoundType(parts[: rng.randint(0, len(parts))])
-        if right_adjoint(left_adjoint(t)) != t or left_adjoint(right_adjoint(t)) != t:
-            failures += 1
-        elif left_adjoint(t + u) != left_adjoint(u) + left_adjoint(t):
-            failures += 1
-        elif right_adjoint(t + u) != right_adjoint(u) + right_adjoint(t):
-            failures += 1
-    ok = failures == 0 and left_adjoint(CompoundType()) == CompoundType()
-    report("criterion 5: pregroup identities on 1000 random types", ok,
-           f"{failures} failure(s)")
+    failures = law_failures(seed=2024)
+    report("criterion 5: pregroup and functor laws on 1000 random type pairs",
+           not failures, f"{len(failures)} failure(s)")
 
 
 def test_criterion_5_dp_vs_oracle():
@@ -344,9 +317,7 @@ def test_criterion_6_interpret_vs_brute_force():
     for name, target in [("pigeons", "s"), ("adj_noun", "n"), ("mori", "s")]:
         spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
         table = AtomTable(dict(spaces.dims).keys())
-        flat = CompoundType()
-        for wt in tensors:
-            flat = flat + wt.type
+        flat = concat(wt.type for wt in tensors)
         w = reduce(flat, parse_type(target, table), table)
         fast = interpret(w, tensors, spaces)
         dims = [spaces.dim(p.atom) for p in flat.parts]
@@ -370,41 +341,12 @@ def test_criterion_6_interpret_vs_brute_force():
 
 
 def test_criterion_6_naturality_squares():
-    en_table = AtomTable({"n", "s", "o1", "o2", "o5"})
-    identity_map = {a: parse_type(a, en_table) for a in en_table.atoms}
-
-    # adjective-noun square (homomorphism)
-    spaces, tensors = load_tensor_fixture(bundled.tensor_path("adj_noun"))
-    table = AtomTable(dict(spaces.dims).keys())
-    flat = tensors[0].type + tensors[1].type
-    w = reduce(flat, parse_type("n", table), table)
-    hom = FunctorSpec("ja", "en", "homomorphism", identity_map, en_table)
-    d = spaces.dim("n")
-    worst = 0.0
-    for seed in range(100):
-        alpha = AlphaSpec.make({"n": np.eye(d) + 0.2 * lcg_array(1000 + seed, (d, d))})
-        rep = check_naturality(alpha, w, tensors, hom, w, 1e-9)
-        worst = max(worst, rep.max_residual)
-    report("criterion 6: adjective-noun naturality, 100 random alpha (tol 1e-9)",
-           worst < 1e-9, f"max residual {worst:.2e}")
-
-    # five-word square (anti-homomorphism)
-    spaces, tensors = load_tensor_fixture(bundled.tensor_path("mori"))
-    table = AtomTable(dict(spaces.dims).keys())
-    flat = CompoundType()
-    for wt in tensors:
-        flat = flat + wt.type
-    src_w = reduce(flat, parse_type("s", table), table)
-    anti = FunctorSpec("ja", "en", "antihomomorphism", identity_map, en_table)
-    image = apply_antihomomorphism(anti, flat)
-    tgt_w = reduce(image, parse_type("s", en_table), en_table)
-    dn, ds = spaces.dim("n"), spaces.dim("s")
-    worst = 0.0
-    for seed in range(100):
-        mn = np.eye(dn) + 0.2 * lcg_array(2000 + seed, (dn, dn))
-        ms = np.eye(ds) + 0.2 * lcg_array(3000 + seed, (ds, ds))
-        alpha = AlphaSpec.make({"n": mn, "o1": mn, "o5": mn, "s": ms})
-        rep = check_naturality(alpha, src_w, tensors, anti, tgt_w, 1e-9)
-        worst = max(worst, rep.max_residual)
-    report("criterion 6: five-word naturality, 100 random alpha (tol 1e-9)",
-           worst < 1e-9, f"max residual {worst:.2e}")
+    for name, fixture, mode, goal, seeds in SQUARES:
+        spaces, tensors, src_w, functor, tgt_w = square(fixture, mode, goal)
+        worst = 0.0
+        for s in range(100):  # alpha s: each atom's LCG seed k becomes 1000 k + s
+            alpha = square_alpha(spaces, {atom: 1000 * k + s for atom, k in seeds.items()})
+            rep = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9)
+            worst = max(worst, rep.max_residual)
+        report(f"criterion 6: {name} naturality, 100 random alpha (tol 1e-9)",
+               worst < 1e-9, f"max residual {worst:.2e}")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, batch mode."""
 
 import json
+import re
 import time
 
 import pytest
@@ -241,9 +242,37 @@ def test_check_naturality(runner):
     assert "ok" in r.output
 
 
+def test_check_naturality_reports_each_failing_square(runner):
+    # at tolerance 0 the float round-off of either square fails it
+    r = runner.invoke(main, ["check", "naturality", "--tol", "0"])
+    assert r.exit_code == 1
+    lines = r.output.splitlines()
+    assert len(lines) == 3
+    for line, name in zip(lines, ("adjective-noun", "five-word")):
+        assert re.fullmatch(rf"FAIL {name} square residual \d\.\d{{3}}e[-+]\d+", line), line
+    assert lines[2] == "naturality: 2 failure(s)"
+    r = runner.invoke(main, ["check", "naturality", "--tol", "0", "--format", "json"])
+    assert r.exit_code == 1
+    payload = json.loads(r.output)
+    assert payload["suite"] == "naturality" and payload["ok"] is False
+    assert [f.split(" residual ")[0] for f in payload["failures"]] == [
+        "adjective-noun square", "five-word square"
+    ]
+
+
 def test_check_oracle(runner):
     r = runner.invoke(main, ["check", "oracle", "--max-len", "6", "--count", "60"])
     assert r.exit_code == 0
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-len", "-1", "--max-len must be at least 0"),
+    ("--count", "0", "--count must be at least 1"),
+])
+def test_check_oracle_rejects_bad_options(runner, option, value, message):
+    r = runner.invoke(main, ["check", "oracle", option, value])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert message in r.output
 
 
 def test_validate(runner):

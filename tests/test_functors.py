@@ -218,6 +218,18 @@ def test_laws_hold_when_an_override_equals_the_computed_image():
         assert check_functor_laws(spec, samples).ok, mode
 
 
+def test_antihomomorphism_law_names():
+    # F(n^l) = n^l where an anti-homomorphism needs F(n)^r = n^r
+    en = AtomTable({"n", "s"})
+    overrides = {SimpleType("n", -1): parse_type("n^l", en)}
+    spec = FunctorSpec("x", "y", "antihomomorphism", {a: parse_type(a, en) for a in "ns"}, en,
+                       simple_overrides=overrides)
+    report = check_functor_laws(spec, [parse_type(t, en) for t in ["n", "n^l", "n s"]])
+    laws = {v.law for v in report.violations}
+    assert "F(x^l) = F(x)^r" in laws
+    assert not laws & {"F(xy) = F(x)F(y)", "F(x^l) = F(x)^l", "F(x^r) = F(x)^r"}
+
+
 def test_word_order_obstruction_flagged():
     # post-posed adjectives force F(n^l) = F(n)^r, violating F(x^l) = F(x)^l
     reg = bundled.FUNCTOR_REGISTRY["jp-ro-hom"]

@@ -5,14 +5,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pregtrans.checks import OracleSizeError, oracle_reduce, oracle_selections
 from pregtrans.core import AtomTable, CompoundType, SimpleType, parse_type
 from pregtrans.reduction import (
-    OracleSizeError,
     ReductionWitness,
     WitnessError,
     enumerate_reductions,
-    oracle_reduce,
-    oracle_selections,
     reduce,
     render_diagram,
     type_selections,

@@ -412,6 +412,15 @@ def test_apply_alpha_word_override():
         apply_alpha(alpha, src, parse_type("n", EN), reverse=False)
 
 
+def test_apply_alpha_rejects_a_component_of_the_wrong_size():
+    spaces = SpaceAssignment.make({"n": 2})
+    src = make_word_tensor("w", parse_type("n", EN), [1.0, 0.0], spaces)
+    alpha = AlphaSpec.make({"n": np.eye(3)})
+    with pytest.raises(SemanticsError, match=r"component for 'n' is 3x3, but the axis it "
+                                             r"carries has dimension 2"):
+        apply_alpha(alpha, src, parse_type("n", EN), reverse=False)
+
+
 # ---- naturality squares ------------------------------------------------------------
 
 def test_naturality_homomorphism_square():
@@ -475,6 +484,16 @@ def test_naturality_square_with_a_scalar_residue(mode):
     assert np.abs(interpret(src_w, tensors, spaces) - want) <= 1e-12 * max(abs(want), 1)
     report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9)
     assert report.max_residual <= 1e-12 * max(abs(want), 1)
+
+
+def test_naturality_rejects_a_component_of_the_wrong_size():
+    spaces, tensors = load_tensor_fixture(bundled.tensor_path("adj_noun"))
+    table = AtomTable(dict(spaces.dims).keys())
+    w = reduce(flat_type(tensors), parse_type("n", table), table)
+    hom = FunctorSpec("ja", "en", "homomorphism", IDENTITY_MAP, EN)
+    with pytest.raises(SemanticsError, match=r"component for 'n' is 2x2, but the axis it "
+                                             r"carries has dimension 3"):
+        check_naturality(AlphaSpec.make({"n": np.eye(2)}), w, tensors, hom, w, 1e-9)
 
 
 def test_naturality_rejects_bracewise_mode():

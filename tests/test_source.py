@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no module defines a private name it never uses."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,41 @@ def test_unused_import_is_found():
         "    b()\n"
     )
     assert unused_imports(source) == ["line 2: json", "line 3: a"]
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level names with one leading underscore that the module
+    defines and never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_private_name_is_found():
+    source = (
+        "_A, _B = 1, 2\n"
+        "__all__ = []\n"
+        "PUBLIC = 3\n"
+        "def _f():\n"
+        "    return _A\n"
+        "class _C:\n"
+        "    _inner = 4\n"
+    )
+    assert unused_private_names(source) == ["line 1: _B", "line 4: _f", "line 6: _C"]
