@@ -1,7 +1,7 @@
 """Property checks, each defined once: the pregroup and functor laws, the
-naturality squares, and the brute-force reduction oracle.  ``pregtrans
-check`` runs the suites, and the acceptance gate runs the same law suite
-and squares.  Each suite returns its failures as lines of text.
+naturality squares, and the brute-force references for reduction and
+``interpret``.  ``pregtrans check`` runs the suites, and the acceptance gate
+runs the same ones.  Each suite returns its failures as lines of text.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from . import data as bundled
 from .core import (
     AtomTable,
+    BracedType,
     CompoundType,
     PregroupError,
     SimpleType,
@@ -27,7 +28,7 @@ from .core import (
     right_adjoint,
     simple_leq,
 )
-from .functors import FunctorSpec, apply_functor, check_functor_laws
+from .functors import FunctorSpec, apply_functor, check_functor_laws, segment_bounds
 from .reduction import ReductionWitness, reduce, type_selections
 from .semantics import AlphaSpec, SpaceAssignment, check_naturality, lcg_array, load_tensor_fixture
 
@@ -74,23 +75,28 @@ def law_failures(seed: int = 0) -> list[str]:
     return failures
 
 
-# name, tensor fixture, functor mode, goal, LCG seed of each atom's alpha component
+# name, tensor fixture, functor mode, reversal mask, brace cuts, goal, alpha seed per atom
 SQUARES = (
-    ("adjective-noun", "adj_noun", "homomorphism", "n", {"n": 1}),
-    ("five-word", "mori", "antihomomorphism", "s", {"n": 2, "o1": 2, "o5": 2, "s": 3}),
+    ("adjective-noun", "adj_noun", "homomorphism", None, None, "n", {"n": 1}),
+    ("five-word", "mori", "antihomomorphism", None, None, "s", {"n": 2, "o1": 2, "o5": 2, "s": 3}),
+    ("three-segment", "xi", "bracewise", (False, True, False), (2, 4), "sigma",
+     {"nu": 4, "o": 5, "sigma": 6, "w": 7}),
 )
-_EN = AtomTable({"n", "s", "o1", "o2", "o5"})
 
 
-def square(fixture: str, mode: str, goal: str):
-    """The spaces, word tensors, source witness, functor (the identity on
-    atoms, in ``mode``) and target witness of a bundled fixture's square."""
+def square(fixture: str, mode: str, mask, bracing, goal: str):
+    """The spaces, word tensors, source witness, functor (the identity on the
+    fixture's atoms, in ``mode`` with ``mask``) and target witness of a
+    bundled fixture's square, its words cut into segments at ``bracing``."""
     spaces, tensors = load_tensor_fixture(bundled.tensor_path(fixture))
     table = AtomTable(dict(spaces.dims).keys())
-    flat = concat(wt.type for wt in tensors)
-    src_w = reduce(flat, parse_type(goal, table), table)
-    functor = FunctorSpec("ja", "en", mode, {a: parse_type(a, _EN) for a in _EN.atoms}, _EN)
-    tgt_w = reduce(apply_functor(functor, flat), parse_type(goal, _EN), _EN)
+    functor = FunctorSpec("x", "y", mode, {a: parse_type(a, table) for a in table.atoms}, table,
+                          mask)
+    target = parse_type(goal, table)
+    braced = BracedType(tuple(concat(wt.type for wt in tensors[a:b])
+                              for a, b in segment_bounds(len(tensors), bracing)))
+    src_w = reduce(braced.flatten(), target, table)
+    tgt_w = reduce(flatten(apply_functor(functor, braced)), target, table)
     return spaces, tensors, src_w, functor, tgt_w
 
 
@@ -104,12 +110,28 @@ def square_alpha(spaces: SpaceAssignment, seeds: dict[str, int]) -> AlphaSpec:
 
 def naturality_failures(tol: float) -> list[str]:
     failures = []
-    for name, fixture, mode, goal, seeds in SQUARES:
-        spaces, tensors, src_w, functor, tgt_w = square(fixture, mode, goal)
-        report = check_naturality(square_alpha(spaces, seeds), src_w, tensors, functor, tgt_w, tol)
+    for name, fixture, mode, mask, bracing, goal, seeds in SQUARES:
+        spaces, tensors, src_w, functor, tgt_w = square(fixture, mode, mask, bracing, goal)
+        report = check_naturality(square_alpha(spaces, seeds), src_w, tensors, functor, tgt_w, tol,
+                                  bracing)
         if not report.ok:
             failures.append(f"{name} square residual {report.max_residual:.3e}")
     return failures
+
+
+def brute_force(witness: ReductionWitness, tensors: list, spaces: SpaceAssignment) -> np.ndarray:
+    """Brute-force reference for ``semantics.interpret``: the product of the word
+    tensors' entries summed over each index assignment that agrees on links."""
+    dims = [spaces.dim(p.atom) for wt in tensors for p in wt.type.parts]
+    out = np.zeros(tuple(dims[i] for i in witness.residue))
+    for assign in itertools.product(*map(range, dims)):
+        if all(assign[i] == assign[j] for i, j in witness.links):
+            value, pos = 1.0, 0
+            for wt in tensors:
+                value *= wt.data[assign[pos : pos + len(wt.type)]]
+                pos += len(wt.type)
+            out[tuple(assign[i] for i in witness.residue)] += value
+    return out
 
 
 class OracleSizeError(PregroupError):

@@ -224,6 +224,8 @@ _SUITES = {
 def cmd_check(suite, tol, max_len, count, fmt):
     """Run a property suite: pregroup/functor laws, naturality squares,
     or the DP-versus-brute-force reduction oracle."""
+    if not 0 <= tol < float("inf"):  # false for nan too
+        raise CliError("--tol must be a finite number at least 0")
     if suite == "oracle":
         if max_len < 0:
             raise CliError("--max-len must be at least 0")

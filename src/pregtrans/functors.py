@@ -3,9 +3,9 @@ anti-homomorphisms, and brace-wise morphisms with a per-segment reversal
 mask, plus word-sequence realization in the target language.
 
 Functor files are JSON: {source_language, target_language, mode,
-atom_map, reversal_mask?, post_metarules?, simple_overrides?}.  Word map
-files are a JSON object token -> replacement string (possibly empty or
-multi-word).
+atom_map, reversal_mask?, post_metarules?, simple_overrides?}, the mask and
+post metarules in bracewise mode only.  Word map files are a JSON object
+token -> replacement string (possibly empty or multi-word).
 
 ``simple_overrides`` keys are untagged simple types of the source
 grammar, and an override replaces that simple type's image in every mode.
@@ -16,6 +16,7 @@ brace-wise functor, and never through the post metarules.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +67,10 @@ class FunctorSpec:
             raise FunctorError(f"unknown functor mode {self.mode!r}")
         if self.mode == "bracewise" and self.reversal_mask is None:
             raise FunctorError("bracewise mode needs a reversal_mask")
+        for name, given in (("reversal_mask", self.reversal_mask is not None),
+                            ("post_metarules", bool(self.post_metarules))):
+            if given and self.mode != "bracewise":
+                raise FunctorError(f"{self.mode} mode takes no {name}")
 
     def image_of_atom(self, atom: str) -> CompoundType:
         if atom not in self.atom_map:
@@ -253,7 +258,6 @@ def check_functor_laws(f: FunctorSpec, samples: list[CompoundType]) -> FunctorLa
 
 @dataclass(frozen=True)
 class TranslationResult:
-    tokens: tuple[str, ...]
     source_type: BracedType
     source_witness: ReductionWitness
     translated: BracedType
@@ -266,12 +270,21 @@ class TranslationResult:
         return " ".join(self.words)
 
 
-def _segment_bounds(n: int, bracing) -> list[tuple[int, int]]:
+def segment_bounds(n: int, bracing) -> list[tuple[int, int]]:
+    """The (start, end) of each brace segment that the cuts ``bracing`` make in ``n`` words."""
     cuts = list(bracing or ())
     if any(c <= 0 or c >= n for c in cuts) or cuts != sorted(set(cuts)):
         raise FunctorError(f"bracing {cuts} does not partition {n} tokens")
     bounds = [0] + cuts + [n]
     return list(zip(bounds, bounds[1:]))
+
+
+def word_order(f: FunctorSpec, words: Sequence, bracing=None) -> list[tuple[object, bool]]:
+    """The source ``words`` in target order, each with whether its brace
+    segment (``bracing`` cuts the words into segments) maps in reverse."""
+    segments = segment_bounds(len(words), bracing)
+    return [(word, reverse) for reverse, (a, b) in zip(f.mask(len(segments)), segments)
+            for word in words[a:b][::-1 if reverse else 1]]
 
 
 def translate_sentence(
@@ -286,11 +299,9 @@ def translate_sentence(
     """Translate a tokenized source sentence: find a type selection that
     reduces in the source grammar, push the braced type through the
     functor, reduce the image in the target grammar, and realize the
-    target word sequence (segments are emitted reversed where the functor
-    reverses them).  A failing target reduction is reported as a
-    diagnostic, not an error."""
-    segments = _segment_bounds(len(tokens), bracing)
-    mask = f.mask(len(segments))
+    target words in :func:`word_order`.  A failing target reduction is
+    reported as a diagnostic, not an error."""
+    order = word_order(f, tokens, bracing)  # a mask mismatch fails before the search
     goal = parse_plain_type(source_target, lex_src.table)
     alternatives = [lex_src.alternatives(tok) for tok in tokens]
     for chosen, search in type_selections(alternatives, goal, lex_src.table):
@@ -302,6 +313,7 @@ def translate_sentence(
         )
     witness = search.witnesses(1)[0]
 
+    segments = segment_bounds(len(tokens), bracing)
     source_braced = BracedType(tuple(concat(chosen[a:b]) for a, b in segments))
     translated = apply_functor(f, source_braced)
     if not isinstance(translated, BracedType):
@@ -316,18 +328,5 @@ def translate_sentence(
             f"{render_type(goal_image)!r} in {lex_tgt.language}"
         )
 
-    words = []
-    for reverse, (a, b) in zip(mask, segments):
-        for tok in reversed(tokens[a:b]) if reverse else tokens[a:b]:
-            image = wm.get(tok)
-            if image:
-                words.append(image)
-    return TranslationResult(
-        tuple(tokens),
-        source_braced,
-        witness,
-        translated,
-        target_witness,
-        tuple(words),
-        diagnostic,
-    )
+    words = tuple(image for tok, _ in order if (image := wm.get(tok)))
+    return TranslationResult(source_braced, witness, translated, target_witness, words, diagnostic)

@@ -1,6 +1,6 @@
 """Desk-scale DisCoCat semantics: finite-dimensional spaces for atoms,
 word tensors, reduction witnesses as epsilon contractions, and numeric
-naturality checks for translations.
+naturality checks for translations under functors of all three modes.
 
 ``interpret`` contracts in an order read off the witness, with no
 contraction-path search, and each alpha component is inverted once, when
@@ -16,6 +16,7 @@ and a seeded word has at most MAX_SEEDED_ENTRIES entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .core import (
     concat,
     render_type,
 )
-from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
+from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism, word_order
 from .reduction import ReductionWitness, WitnessError
 
 # Knuth MMIX linear congruential generator; values mapped to [-1, 1).
@@ -268,7 +269,7 @@ def apply_alpha(
     transformed by the atom's component map, odd-exponent axes by its
     inverse transpose (so every epsilon pairing is preserved); axis order
     follows the functor image, whose parts are in reverse order when
-    ``reverse`` (an anti-homomorphism's image)."""
+    ``reverse`` (the image of a word in a reversed segment)."""
     override = alpha.override(t.word)
     if override is not None:
         if override.type != image_type:
@@ -313,7 +314,6 @@ def _carry(alpha: AlphaSpec, data: np.ndarray, axes) -> np.ndarray:
 class NaturalityReport:
     max_residual: float
     tolerance: float
-    details: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -336,45 +336,46 @@ def check_naturality(
     functor: FunctorSpec,
     tgt_witness: ReductionWitness,
     tolerance: float,
+    bracing: tuple[int, ...] | None = None,
 ) -> NaturalityReport:
     """Verify the translation square numerically: interpreting then
     applying alpha must equal applying alpha word-wise then interpreting
-    in the target model, within the tolerance (max-abs norm)."""
+    in the target model, within the tolerance (max-abs norm).  Both paths
+    take their word order from ``functors.word_order``, given the brace
+    cuts of the sentence in ``bracing``.  A post metarule has no tensor
+    map, so a functor with one raises SemanticsError."""
     if len(src_witness.links) != len(tgt_witness.links) or len(src_witness.residue) != len(
         tgt_witness.residue
     ):
         raise SemanticsError("source and target witnesses do not correspond")
-    if functor.mode == "bracewise":
-        raise SemanticsError("naturality checks support homomorphism and anti-homomorphism modes")
-    reverse = functor.reverses
-
-    src_spaces = _spaces_from_tensors(src_tensors)
+    if functor.post_metarules:
+        raise SemanticsError(f"post metarule {functor.post_metarules[0].kind!r} has no tensor map")
+    order = word_order(functor, range(len(src_tensors)), bracing)  # word indices
+    start = [0, *itertools.accumulate(len(wt.type) for wt in src_tensors)]  # words' first axes
     flat = concat(wt.type for wt in src_tensors)
 
-    # reduce in the source, then translate the residue
-    meaning = interpret(src_witness, src_tensors, src_spaces)
+    # reduce in the source, then translate the residue, its axes in target order
+    meaning = interpret(src_witness, src_tensors, _spaces_from_tensors(src_tensors))
     residue = [flat[i] for i in src_witness.residue]
     meaning = _carry(alpha, meaning, ((p.atom, p.exponent) for p in residue))
-    if reverse and meaning.ndim > 1:
-        meaning = np.transpose(meaning, tuple(range(meaning.ndim - 1, -1, -1)))
+    rank = {p: k for k, p in enumerate(
+        p for i, reverse in order for p in range(start[i], start[i + 1])[::-1 if reverse else 1])}
+    meaning = meaning.transpose(sorted(range(meaning.ndim),
+                                       key=lambda a: rank[src_witness.residue[a]]))
 
-    # translate word-wise, then reduce in the target
-    image = apply_antihomomorphism if reverse else apply_homomorphism
-    words = reversed(src_tensors) if reverse else src_tensors
-    translated = [apply_alpha(alpha, wt, image(functor, wt.type), reverse=reverse) for wt in words]
-    tgt_spaces = _spaces_from_tensors(translated)
-    target_meaning = interpret(tgt_witness, translated, tgt_spaces)
+    # translate word-wise in target order, then reduce in the target
+    translated = []
+    for i, reverse in order:
+        wt, image = src_tensors[i], apply_antihomomorphism if reverse else apply_homomorphism
+        translated.append(apply_alpha(alpha, wt, image(functor, wt.type), reverse))
+    target_meaning = interpret(tgt_witness, translated, _spaces_from_tensors(translated))
 
     if meaning.shape != target_meaning.shape:
         raise SemanticsError(
             f"path shapes differ: {meaning.shape} vs {target_meaning.shape}"
         )
     residual = float(np.max(np.abs(meaning - target_meaning))) if meaning.size else 0.0
-    details = (
-        f"square over {len(src_tensors)} words: residual {residual:.3e} "
-        f"(tolerance {tolerance:.3e})",
-    )
-    return NaturalityReport(residual, tolerance, details)
+    return NaturalityReport(residual, tolerance)
 
 
 def load_tensor_fixture(path: str | Path) -> tuple[SpaceAssignment, list[WordTensor]]:

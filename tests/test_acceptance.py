@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from pregtrans import data as bundled
-from pregtrans.checks import SQUARES, law_failures, oracle_reduce, square, square_alpha
+from pregtrans.checks import (
+    SQUARES,
+    brute_force,
+    law_failures,
+    oracle_reduce,
+    square,
+    square_alpha,
+)
 from pregtrans.core import AtomTable, CompoundType, SimpleType, concat, parse_type, render_type
 from pregtrans.functors import (
     apply_antihomomorphism,
@@ -317,36 +324,20 @@ def test_criterion_6_interpret_vs_brute_force():
     for name, target in [("pigeons", "s"), ("adj_noun", "n"), ("mori", "s")]:
         spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
         table = AtomTable(dict(spaces.dims).keys())
-        flat = concat(wt.type for wt in tensors)
-        w = reduce(flat, parse_type(target, table), table)
-        fast = interpret(w, tensors, spaces)
-        dims = [spaces.dim(p.atom) for p in flat.parts]
-        slow = np.zeros(tuple(dims[i] for i in w.residue) or ())
-        for assign in itertools.product(*(range(d) for d in dims)):
-            if any(assign[i] != assign[j] for i, j in w.links):
-                continue
-            val, pos = 1.0, 0
-            for wt in tensors:
-                k = len(wt.type)
-                val *= wt.data[assign[pos : pos + k]]
-                pos += k
-            idx = tuple(assign[i] for i in w.residue)
-            if idx:
-                slow[idx] += val
-            else:
-                slow = slow + val
+        w = reduce(concat(wt.type for wt in tensors), parse_type(target, table), table)
+        fast, slow = interpret(w, tensors, spaces), brute_force(w, tensors, spaces)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     report("criterion 6: interpret equals full index summation (tol 1e-12)",
            worst < 1e-12, f"max residual {worst:.2e}")
 
 
 def test_criterion_6_naturality_squares():
-    for name, fixture, mode, goal, seeds in SQUARES:
-        spaces, tensors, src_w, functor, tgt_w = square(fixture, mode, goal)
+    for name, fixture, mode, mask, bracing, goal, seeds in SQUARES:
+        spaces, tensors, src_w, functor, tgt_w = square(fixture, mode, mask, bracing, goal)
         worst = 0.0
         for s in range(100):  # alpha s: each atom's LCG seed k becomes 1000 k + s
             alpha = square_alpha(spaces, {atom: 1000 * k + s for atom, k in seeds.items()})
-            rep = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9)
+            rep = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9, bracing)
             worst = max(worst, rep.max_residual)
         report(f"criterion 6: {name} naturality, 100 random alpha (tol 1e-9)",
                worst < 1e-9, f"max residual {worst:.2e}")

@@ -2,11 +2,14 @@
 
 import json
 import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from pregtrans.checks import SQUARES
 from pregtrans.cli import main
 
 
@@ -142,6 +145,13 @@ def test_translate_untranslatable_exits_2(runner):
     assert "not translatable" in r.output
 
 
+def test_translate_mask_mismatch_exits_1_before_the_search(runner):
+    # the sentence does not reduce, but psi's two-segment mask fails first
+    r = runner.invoke(main, ["translate", "issya ga ga tegami", "--functor", "psi"])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert "1 brace segments, bracewise mask of length 2" in r.output
+
+
 def test_translate_unknown_functor_exits_1(runner):
     r = runner.invoke(main, ["translate", "x", "--functor", "nope"])
     assert r.exit_code == 1
@@ -184,6 +194,10 @@ FUNCTOR = {"source_language": "ja", "target_language": "en", "mode": "antihomomo
      "post_metarules[0]: field 'head': expected a JSON string"),
     ({**FUNCTOR, "post_metarules": [{"kind": "slot-flip", "head": "q"}]}, None,
      "post_metarules[0]: metarule references unknown atom 'q'"),
+    ({**FUNCTOR, "reversal_mask": [True, False, True]}, None,
+     "field 'mode': antihomomorphism mode takes no reversal_mask"),
+    ({**FUNCTOR, "mode": "homomorphism", "post_metarules": [{"kind": "slot-flip", "head": "s"}]},
+     None, "field 'mode': homomorphism mode takes no post_metarules"),
 ])
 def test_translate_bad_data_files_exit_1_without_traceback(
     runner, tmp_path, functor, wordmap, message
@@ -243,20 +257,20 @@ def test_check_naturality(runner):
 
 
 def test_check_naturality_reports_each_failing_square(runner):
-    # at tolerance 0 the float round-off of either square fails it
+    # at tolerance 0 the float round-off of each square fails it
     r = runner.invoke(main, ["check", "naturality", "--tol", "0"])
     assert r.exit_code == 1
     lines = r.output.splitlines()
-    assert len(lines) == 3
-    for line, name in zip(lines, ("adjective-noun", "five-word")):
+    assert len(lines) == 4
+    for line, name in zip(lines, ("adjective-noun", "five-word", "three-segment")):
         assert re.fullmatch(rf"FAIL {name} square residual \d\.\d{{3}}e[-+]\d+", line), line
-    assert lines[2] == "naturality: 2 failure(s)"
+    assert lines[3] == "naturality: 3 failure(s)"
     r = runner.invoke(main, ["check", "naturality", "--tol", "0", "--format", "json"])
     assert r.exit_code == 1
     payload = json.loads(r.output)
     assert payload["suite"] == "naturality" and payload["ok"] is False
     assert [f.split(" residual ")[0] for f in payload["failures"]] == [
-        "adjective-noun square", "five-word square"
+        "adjective-noun square", "five-word square", "three-segment square"
     ]
 
 
@@ -265,12 +279,16 @@ def test_check_oracle(runner):
     assert r.exit_code == 0
 
 
-@pytest.mark.parametrize("option, value, message", [
-    ("--max-len", "-1", "--max-len must be at least 0"),
-    ("--count", "0", "--count must be at least 1"),
+@pytest.mark.parametrize("suite, option, value, message", [
+    ("oracle", "--max-len", "-1", "--max-len must be at least 0"),
+    ("oracle", "--count", "0", "--count must be at least 1"),
+    ("naturality", "--tol", "-1", "--tol must be a finite number at least 0"),
+    ("naturality", "--tol", "nan", "--tol must be a finite number at least 0"),
+    ("naturality", "--tol", "inf", "--tol must be a finite number at least 0"),
+    ("oracle", "--tol", "-inf", "--tol must be a finite number at least 0"),
 ])
-def test_check_oracle_rejects_bad_options(runner, option, value, message):
-    r = runner.invoke(main, ["check", "oracle", option, value])
+def test_check_oracle_rejects_bad_options(runner, suite, option, value, message):
+    r = runner.invoke(main, ["check", suite, option, value])
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
     assert message in r.output
 
@@ -281,3 +299,27 @@ def test_validate(runner):
     assert "ok" in r.output
     r = runner.invoke(main, ["validate", "nope"])
     assert r.exit_code == 1
+
+
+# ---- README ------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("line", [
+    line for line in readme_section("CLI").splitlines() if line.startswith("pregtrans ")
+])
+def test_readme_cli_example_runs(runner, line):
+    r = runner.invoke(main, shlex.split(line)[1:])
+    assert r.exit_code == 0, r.output
+
+
+def test_readme_names_every_naturality_square():
+    section = " ".join(readme_section("CLI").split())
+    claim = re.search(r"`check naturality` checks (.*?) at `--tol`", section)
+    assert claim is not None and "brace-wise" in claim.group(1)
+    assert all(name in claim.group(1) for name, *_ in SQUARES)

@@ -8,8 +8,26 @@ import pytest
 
 from pregtrans import data as bundled
 from pregtrans import semantics
-from pregtrans.core import AtomTable, CompoundType, SimpleType, concat, parse_type
-from pregtrans.functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism
+from pregtrans.checks import brute_force
+from pregtrans.core import (
+    AtomTable,
+    BracedType,
+    CompoundType,
+    SimpleType,
+    concat,
+    flatten,
+    parse_type,
+)
+from pregtrans.functors import (
+    FunctorSpec,
+    apply_antihomomorphism,
+    apply_functor,
+    apply_homomorphism,
+    load_functor,
+    load_wordmap,
+    segment_bounds,
+    translate_sentence,
+)
 from pregtrans.lexicon import load_lexicon
 from pregtrans.reduction import ReductionWitness, enumerate_reductions, reduce
 from pregtrans.semantics import (
@@ -37,29 +55,6 @@ def flat_type(tensors):
     for wt in tensors:
         t = t + wt.type
     return t
-
-
-def brute_force(witness, tensors, spaces):
-    """Full index summation: loop over every assignment, multiply entries,
-    keep assignments where linked axes agree."""
-    flat = flat_type(tensors)
-    dims = [spaces.dim(p.atom) for p in flat.parts]
-    out_shape = tuple(dims[i] for i in witness.residue)
-    out = np.zeros(out_shape if out_shape else ())
-    for assign in itertools.product(*(range(d) for d in dims)):
-        if any(assign[i] != assign[j] for i, j in witness.links):
-            continue
-        val, pos = 1.0, 0
-        for wt in tensors:
-            k = len(wt.type)
-            val *= wt.data[assign[pos : pos + k]]
-            pos += k
-        idx = tuple(assign[i] for i in witness.residue)
-        if out_shape:
-            out[idx] += val
-        else:
-            out = out + val
-    return np.asarray(out)
 
 
 def sequential_contract(witness, tensors, spaces, link_order):
@@ -127,7 +122,7 @@ def test_word_tensor_shape_checked():
 
 
 def test_load_tensor_fixtures():
-    for name in ["pigeons", "adj_noun", "mori"]:
+    for name in ["pigeons", "adj_noun", "mori", "xi"]:
         spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
         assert tensors
         for wt in tensors:
@@ -464,8 +459,41 @@ def test_naturality_holds_for_unrelated_invertible_components():
     assert report.ok
 
 
-@pytest.mark.parametrize("mode", ["homomorphism", "antihomomorphism"])
-def test_naturality_square_with_a_scalar_residue(mode):
+def braced(types, bracing):
+    """The word types cut into brace segments at ``bracing``."""
+    return BracedType(tuple(concat(types[a:b]) for a, b in segment_bounds(len(types), bracing)))
+
+
+@pytest.mark.parametrize("mode, mask, bracing, words, goal, target_goal", [
+    ("homomorphism", None, None, ["n", "n^r s", "o1"], "s o1", "s o1"),
+    ("antihomomorphism", None, None, ["n", "n^r s", "o1"], "s o1", "o1 s"),
+    ("bracewise", (False, True), (2,), ["n", "n^r s", "o1", "o2"], "s o1 o2", "s o2 o1"),
+])
+def test_naturality_square_puts_the_residue_axes_in_target_order(
+    mode, mask, bracing, words, goal, target_goal
+):
+    # every dimension is 2, so only the values tell the residue axes apart
+    rng = np.random.default_rng(5)
+    spaces = SpaceAssignment.make({a: 2 for a in EN.atoms})
+    types = [parse_type(w, EN) for w in words]
+    tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
+               for i, t in enumerate(types)]
+    functor = FunctorSpec("x", "y", mode, IDENTITY_MAP, EN, mask)
+    src_w = reduce(concat(types), parse_type(goal, EN), EN)
+    tgt_w = reduce(flatten(apply_functor(functor, braced(types, bracing))),
+                   parse_type(target_goal, EN), EN)
+    alpha = AlphaSpec.make({a: np.eye(2) + 0.3 * rng.uniform(-1, 1, (2, 2))
+                            for a in sorted(EN.atoms)})
+    report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9, bracing)
+    assert report.ok, report.max_residual
+
+
+@pytest.mark.parametrize("mode, mask, bracing", [
+    ("homomorphism", None, None),
+    ("antihomomorphism", None, None),
+    ("bracewise", (True, False), (3,)),
+])
+def test_naturality_square_with_a_scalar_residue(mode, mask, bracing):
     # the sentence contracts to a scalar, so the residue carry maps no axis
     rng = np.random.default_rng(3)
     dims = {a: int(rng.integers(2, 5)) for a in sorted(EN.atoms)}
@@ -473,16 +501,16 @@ def test_naturality_square_with_a_scalar_residue(mode):
     types = [parse_type(w, EN) for w in ["n", "n^r s n^l", "n", "s^r"]]
     tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
                for i, t in enumerate(types)]
-    functor = FunctorSpec("x", "y", mode, IDENTITY_MAP, EN)
-    image = (apply_antihomomorphism if functor.reverses else apply_homomorphism)(
-        functor, concat(types))
-    src_w, tgt_w = reduce(concat(types), CompoundType(), EN), reduce(image, CompoundType(), EN)
+    functor = FunctorSpec("x", "y", mode, IDENTITY_MAP, EN, mask)
+    image = apply_functor(functor, braced(types, bracing))
+    src_w = reduce(concat(types), CompoundType(), EN)
+    tgt_w = reduce(flatten(image), CompoundType(), EN)
     alpha = AlphaSpec.make({a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d))
                             for a, d in dims.items()})
     want = brute_force(src_w, tensors, spaces)
     assert want.shape == ()
     assert np.abs(interpret(src_w, tensors, spaces) - want) <= 1e-12 * max(abs(want), 1)
-    report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9)
+    report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9, bracing)
     assert report.max_residual <= 1e-12 * max(abs(want), 1)
 
 
@@ -496,13 +524,47 @@ def test_naturality_rejects_a_component_of_the_wrong_size():
         check_naturality(AlphaSpec.make({"n": np.eye(2)}), w, tensors, hom, w, 1e-9)
 
 
-def test_naturality_rejects_bracewise_mode():
-    spaces, tensors = load_tensor_fixture(bundled.tensor_path("adj_noun"))
-    table = AtomTable(dict(spaces.dims).keys())
-    w = reduce(flat_type(tensors), parse_type("n", table), table)
-    brace = FunctorSpec("ja", "en", "bracewise", IDENTITY_MAP, EN, reversal_mask=(True,))
-    with pytest.raises(SemanticsError):
-        check_naturality(AlphaSpec.make({"n": np.eye(3)}), w, tensors, brace, w, 1e-9)
+def translated_square(name, sentence, goal, seed):
+    """A bundled brace-wise functor's translation of ``sentence`` (``|``
+    cuts segments) as a naturality square: random word tensors of the
+    chosen source types, random dimensions and a random alpha."""
+    reg = bundled.FUNCTOR_REGISTRY[name]
+    src, tgt = (load_lexicon(bundled.lexicon_path(reg[role])) for role in ("src", "tgt"))
+    functor = load_functor(bundled.functor_path(name), src.table, tgt.table)
+    segments = [piece.split() for piece in sentence.split("|")]
+    tokens = [tok for seg in segments for tok in seg]
+    bracing = tuple(itertools.accumulate(len(seg) for seg in segments[:-1]))
+    result = translate_sentence(src, tgt, functor, load_wordmap(bundled.wordmap_path(name)),
+                                tokens, bracing, source_target=goal)
+    assert result.target_witness is not None
+    # the type chosen for each word: the one selection whose types concatenate to the source type
+    chosen = next(types for types in itertools.product(*map(src.alternatives, tokens))
+                  if concat(types) == result.source_type.flatten())
+    rng = np.random.default_rng(seed)
+    spaces = SpaceAssignment.make({a: int(rng.integers(1, 5)) for a in sorted(src.table.atoms)})
+    tensors = [make_word_tensor(tok, t, rng.normal(size=spaces.shape_of(t)), spaces)
+               for tok, t in zip(tokens, chosen)]
+    alpha = AlphaSpec.make({a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d))
+                            for a, d in spaces.dims.items()})
+    return alpha, result.source_witness, tensors, functor, result.target_witness, bracing
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name, sentence, goal", [
+    ("psi3", "ie ni tuita | ga | tegami wo kaita", "s"),
+    ("xi", "ketab ra | dar bazar | xarid", "sigma"),
+])
+def test_naturality_square_of_a_bracewise_translation(name, sentence, goal, seed):
+    alpha, src_w, tensors, functor, tgt_w, bracing = translated_square(name, sentence, goal, seed)
+    report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9, bracing)
+    assert report.ok, report.max_residual
+
+
+def test_naturality_rejects_a_post_metarule():
+    # psi's slot-flip rewrites a segment's type across word boundaries
+    square = translated_square("psi", "issya ga | tegami wo kaku", "s", 0)
+    with pytest.raises(SemanticsError, match="post metarule 'slot-flip' has no tensor map"):
+        check_naturality(*square[:5], 1e-9, square[5])
 
 
 # ---- tensor fixture files ------------------------------------------------------------
