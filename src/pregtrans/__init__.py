@@ -9,7 +9,6 @@ from .core import (
     SimpleType,
     TypeParseError,
     UnknownAtomError,
-    atom_leq,
     contracts,
     left_adjoint,
     parse_type,

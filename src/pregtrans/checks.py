@@ -141,7 +141,7 @@ class OracleSizeError(PregroupError):
 def oracle_reduce(input: Type, target: CompoundType, table: AtomTable) -> list[ReductionWitness]:
     """Brute-force reference: apply single adjacent contractions in every
     order and collect the distinct witnesses whose remainder matches the
-    target pointwise.  Guarded against blow-up."""
+    target pointwise, sorted as tuples.  Guarded against blow-up."""
     parts = flatten(input).parts
     if len(parts) > 12:
         raise OracleSizeError(f"oracle limited to length <= 12, got {len(parts)}")
@@ -157,14 +157,14 @@ def oracle_reduce(input: Type, target: CompoundType, table: AtomTable) -> list[R
         if len(state) == len(goal) and all(
             simple_leq(parts[i], g, table) for i, g in zip(state, goal)
         ):
-            results.add(ReductionWitness(links, state))
+            results.add(ReductionWitness(tuple(sorted(links)), state))
         for p in range(len(state) - 1):
             i, j = state[p], state[p + 1]
             if contracts(parts[i], parts[j], table):
                 walk(state[:p] + state[p + 2 :], links | {(i, j)})
 
     walk(tuple(range(len(parts))), frozenset())
-    return sorted(results, key=lambda w: w.sort_key)
+    return sorted(results)
 
 
 def oracle_selections(alternatives, target: CompoundType, table: AtomTable) -> list:
@@ -201,8 +201,8 @@ def oracle_failures(max_len: int, count: int) -> list[str]:
                 for _ in range(ways)
             ])
             room, selections = room - size, selections * ways
-        fast = [(s, set(w.witnesses())) for s, w in type_selections(alternatives, goal, _TABLE)]
-        slow = [(s, set(ws)) for s, ws in oracle_selections(alternatives, goal, _TABLE)]
+        fast = [(s, w.witnesses()) for s, w in type_selections(alternatives, goal, _TABLE)]
+        slow = oracle_selections(alternatives, goal, _TABLE)
         if fast != slow:
             shown = " ".join("{" + " | ".join(map(render_type, a)) + "}" for a in alternatives)
             failures.append(f"mismatch on {shown}")

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 configuration or input-file error, 2 linguistic
-failure (not reducible / not translatable).  Tokens are separated by
-whitespace, `|` separates brace segments, and `@0` is the empty word.
+Exit codes: 0 success, 1 usage, configuration or input-file error, 2
+linguistic failure (not reducible / not translatable).  Tokens are separated
+by whitespace, `|` separates brace segments, and `@0` is the empty word.
 """
 
 from __future__ import annotations
@@ -39,19 +39,34 @@ class CliError(click.ClickException):
     exit_code = EXIT_CONFIG
 
 
-def _configured(step, *args):
-    """``step(*args)``, with a missing data file or bad data in one raised
-    as a configuration error."""
+def _configured(step, *args, **kwargs):
+    """``step(*args, **kwargs)``, with a usage error, a missing data file or
+    bad data in one made a configuration error."""
     try:
-        return step(*args)
+        return step(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
     except (FileNotFoundError, PregroupError) as exc:
         raise CliError(str(exc)) from exc
+
+
+class _Group(click.Group):
+    """The one place that makes usage and data errors exit 1 (see
+    :func:`_configured`): the group's options are parsed in make_context,
+    and a command's options are parsed and the command run in invoke."""
+
+    def make_context(self, *args, **kwargs):
+        return _configured(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _configured(super().invoke, ctx)
 
 
 def _locate(name: str, bundled_path) -> Path:
     """The file at path ``name``, or else the bundled data file so named."""
     path = Path(name)
-    return path if path.exists() else _configured(bundled_path, name)
+    return path if path.exists() else bundled_path(name)
 
 
 def _goal(target: str, table: AtomTable) -> CompoundType:
@@ -68,7 +83,7 @@ def _sentences(sentence: str | None):
     return [line.strip() for line in sys.stdin if line.strip()]
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Pregroup parsing, translation, and semantic checks."""
 
@@ -87,12 +102,12 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     """
     if enumerate_all and limit < 1:
         raise CliError("--limit must be at least 1")
-    lex = _configured(load_lexicon, _locate(lexicon_name, bundled.lexicon_path))
+    lex = load_lexicon(_locate(lexicon_name, bundled.lexicon_path))
     goal = _goal(target, lex.table)
     exit_code = 0
     budget = limit if enumerate_all else 1
     for line in _sentences(sentence):
-        alternatives = [_configured(lex.alternatives, tok) for tok in line.split()]
+        alternatives = [lex.alternatives(tok) for tok in line.split()]
         found = []  # (flat type, its rendering, witness)
         for selection, search in type_selections(alternatives, goal, lex.table):
             flat = concat(selection)
@@ -100,24 +115,11 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
             found.extend((flat, shown, w) for w in search.witnesses(budget - len(found)))
             if len(found) >= budget:
                 break
-        if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "sentence": line,
-                        "reducible": bool(found),
-                        "witnesses": [
-                            {
-                                "type": shown,
-                                "links": sorted(list(l) for l in w.links),
-                                "residue": list(w.residue),
-                            }
-                            for _, shown, w in found
-                        ],
-                    },
-                    ensure_ascii=False,
-                )
-            )
+        if fmt == "json":  # json writes the witnesses' tuples as arrays
+            witnesses = [{"type": shown, "links": w.links, "residue": w.residue}
+                         for _, shown, w in found]
+            click.echo(json.dumps({"sentence": line, "reducible": bool(found),
+                                   "witnesses": witnesses}, ensure_ascii=False))
         elif not found:
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
@@ -149,10 +151,10 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
         if name is None and role not in defaults:
             raise CliError(f"functor {functor_name!r} needs an explicit --{role} lexicon")
         path = _locate(name or defaults[role], bundled.lexicon_path)
-        lexicons.append(_configured(load_lexicon, path))
+        lexicons.append(load_lexicon(path))
     src, tgt = lexicons
     _goal(target, src.table)  # a bad --target fails before any sentence is read
-    functor = _configured(load_functor, functor_path, src.table, tgt.table)
+    functor = load_functor(functor_path, src.table, tgt.table)
     if wordmap_name is not None:
         wordmap_path = _locate(wordmap_name, bundled.wordmap_path)
     else:
@@ -160,7 +162,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
             wordmap_path = bundled.wordmap_path(functor_name)
         except FileNotFoundError as exc:
             raise CliError(f"functor {functor_name!r} needs an explicit --wordmap") from exc
-    wm = _configured(load_wordmap, wordmap_path)
+    wm = load_wordmap(wordmap_path)
     exit_code = 0
     for line in _sentences(sentence):
         tokens, bracing = [], []
@@ -177,8 +179,6 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
             click.echo(f"not translatable: {exc}")
             exit_code = EXIT_LINGUISTIC
             continue
-        except PregroupError as exc:
-            raise CliError(str(exc)) from exc
         if fmt == "json":
             click.echo(
                 json.dumps(
@@ -245,7 +245,7 @@ def cmd_check(suite, tol, max_len, count, fmt):
 @click.argument("lexicon_name")
 def cmd_validate(lexicon_name):
     """Load and validate a lexicon file (or bundled lexicon name)."""
-    lex = _configured(load_lexicon, _locate(lexicon_name, bundled.lexicon_path))
+    lex = load_lexicon(_locate(lexicon_name, bundled.lexicon_path))
     click.echo(
         f"ok: language {lex.language!r}, {len(lex.entries)} entries, "
         f"{len(lex.table.atoms)} atoms, {len(lex.metarules)} metarules"

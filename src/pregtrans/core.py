@@ -296,10 +296,6 @@ def right_adjoint(t: CompoundType) -> CompoundType:
     return CompoundType(tuple(p.right for p in reversed(t.parts)))
 
 
-def atom_leq(a: str, b: str, table: AtomTable) -> bool:
-    return table.leq(a, b)
-
-
 def simple_leq(x: SimpleType, y: SimpleType, table: AtomTable) -> bool:
     """Order between simple types: equal exponent and tag, with the atom
     order flipped at odd exponents (if x <= y then y^l <= x^l)."""

@@ -1,10 +1,10 @@
 """Planar contraction search over a lattice of word type alternatives.
 
-A witness is a non-crossing, well-nested set of contraction links plus the
-ordered residue of unlinked positions.  The input is a lattice: tokens with
-one or more alternative types each, whose simple types are the edges of a
-DAG whose paths spell the type selections; a flat type has one alternative
-per token.  :class:`SpanSearch` decides lazily, with memos, whether a path
+A witness is a non-crossing, well-nested tuple of contraction links in
+order of left end plus the ordered residue of unlinked positions.  The
+input is a lattice: tokens with one or more alternative types each, whose
+simple types are the edges of a DAG whose paths spell the type selections;
+a flat type has one alternative per token.  :class:`SpanSearch` decides lazily, with memos, whether a path
 between two nodes reduces to the unit (a span) or to the rest of the target
 (a goal state).  For N simple types there are O(N^2) such states, each
 decided in O(N) steps, so a sentence is decided in O(N^3) time and no state
@@ -41,15 +41,12 @@ class WitnessError(PregroupError):
 
 
 class ReductionWitness(NamedTuple):
-    """A planar set of contraction links plus the residue positions (a named
-    tuple: enumeration builds thousands of them)."""
+    """A planar reduction: links ``(i, j)``, ``i < j``, in order of left end,
+    and residue positions in increasing order, so witnesses sort as tuples
+    (a named tuple: enumeration builds thousands of them)."""
 
-    links: frozenset[Link]
+    links: tuple[Link, ...]
     residue: tuple[int, ...]
-
-    @property
-    def sort_key(self):
-        return (sorted(self.links), self.residue)
 
     def partners(self, n: int) -> list[int]:
         """Each of the ``n`` positions' partner (-1: residue), from one
@@ -229,11 +226,11 @@ class SpanSearch:
                 u = self.dst[k]
 
     def witnesses(self, limit: int = DEFAULT_LIMIT) -> list[ReductionWitness]:
-        """The first ``limit`` witnesses in search order, sorted by
-        :attr:`ReductionWitness.sort_key`.  The search reads positions left
-        to right; at each it first keeps the simple type as the next residue
-        element, then links it to its partners from the nearest on, taking
-        inner link sets in the same order."""
+        """The first ``limit`` witnesses in search order, sorted.  The search
+        reads positions left to right; at each it first keeps the simple type
+        as the next residue element, then links it to its partners from the
+        nearest on, taking inner link sets in the same order.  A tree is read
+        inner span first, so links come out in order of left end."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if not self.reduces():
@@ -241,7 +238,7 @@ class SpanSearch:
         if limit == 1:
             links, residue = [], []
             self._first(0, 0, self.end, links, residue)
-            return [ReductionWitness(frozenset(links), tuple(residue))]
+            return [ReductionWitness(tuple(links), tuple(residue))]
         found = []
         for tree in itertools.islice(self.trees(0, 0, self.end), limit):
             links, residue, todo = [], [], [tree]
@@ -253,10 +250,10 @@ class SpanSearch:
                         residue.append(move[0])
                     else:
                         links.append(move)
-                    todo += (inner, rest)
-            found.append(ReductionWitness(frozenset(links), tuple(sorted(residue))))
+                    todo += (rest, inner)
+            found.append(ReductionWitness(tuple(links), tuple(residue)))
         self.streams.clear()  # its generators refer back to this search
-        return sorted(found, key=lambda w: w.sort_key)
+        return sorted(found)
 
 
 def type_selections(alternatives, target: CompoundType, table: AtomTable):
@@ -314,8 +311,8 @@ def enumerate_reductions(
     input: Type, target: CompoundType, table: AtomTable, limit: int = DEFAULT_LIMIT
 ) -> list[ReductionWitness]:
     """Witnesses reducing ``input`` to ``target``: the first ``limit`` in
-    search order (see :meth:`SpanSearch.witnesses`), sorted by sorted link
-    list.  Below the limit this is every distinct witness."""
+    search order (see :meth:`SpanSearch.witnesses`), sorted as tuples.
+    Below the limit this is every distinct witness."""
     return SpanSearch([(input,)], target, table).witnesses(limit)
 
 
@@ -379,7 +376,7 @@ def _render_dot(parts, w: ReductionWitness) -> str:
     lines = ["graph reduction {"]
     for i, p in enumerate(parts):
         lines.append(f'  t{i} [label="{p.render()}"];')
-    for i, j in sorted(w.links):
+    for i, j in w.links:
         lines.append(f"  t{i} -- t{j};")
     for i in w.residue:
         lines.append(f'  t{i} -- out [style=dashed];')

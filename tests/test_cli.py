@@ -216,6 +216,40 @@ def test_translate_bad_data_files_exit_1_without_traceback(
     assert message in r.output and str(tmp_path) in r.output
 
 
+def test_translate_image_that_does_not_reduce_exits_2(runner, tmp_path):
+    # n^r maps to n, so the image of the five-word sentence keeps n n
+    functor_path = tmp_path / "functor.json"
+    functor_path.write_text(json.dumps(
+        {**FUNCTOR, "mode": "homomorphism", "simple_overrides": {"n^r": "n"}}))
+    args = ["translate", "mori ni neko ga iru", "--src", "ja_mini", "--tgt", "en",
+            "--wordmap", "jp-en-anti", "--functor", str(functor_path)]
+    diagnostic = "translated type '< n n o5 n n o1 o1^r o5^r s >' does not reduce to 's' in en"
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2 and diagnostic in r.output.splitlines()
+    r = runner.invoke(main, args + ["--format", "json"])
+    assert r.exit_code == 2
+    payload = json.loads(r.output)
+    assert payload["target_reducible"] is False and payload["diagnostic"] == diagnostic
+
+
+@pytest.mark.parametrize("args, message", [
+    (["| mori ni neko ga iru", "--functor", "jp-en-anti"], "bracing [0] does not partition 5 tokens"),
+    (["neko", "--functor", "jp-ro-hom"], "functor 'jp-ro-hom' needs an explicit --wordmap"),
+])
+def test_translate_configuration_errors_exit_1(runner, args, message):
+    r = runner.invoke(main, ["translate"] + args)
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert f"Error: {message}" in r.output
+
+
+def test_translate_functor_file_needs_an_explicit_src(runner, tmp_path):
+    functor_path = tmp_path / "functor.json"
+    functor_path.write_text(json.dumps(FUNCTOR))
+    r = runner.invoke(main, ["translate", "neko", "--functor", str(functor_path)])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert f"functor {str(functor_path)!r} needs an explicit --src lexicon" in r.output
+
+
 LEXICON = {"language": "xx", "atoms": ["n", "s", "o1", "o2"],
            "entries": [{"word": "w", "types": ["n"]}]}
 
@@ -282,6 +316,7 @@ def test_check_oracle(runner):
 @pytest.mark.parametrize("suite, option, value, message", [
     ("oracle", "--max-len", "-1", "--max-len must be at least 0"),
     ("oracle", "--count", "0", "--count must be at least 1"),
+    ("oracle", "--max-len", "20", "oracle limited to length <= 12"),
     ("naturality", "--tol", "-1", "--tol must be a finite number at least 0"),
     ("naturality", "--tol", "nan", "--tol must be a finite number at least 0"),
     ("naturality", "--tol", "inf", "--tol must be a finite number at least 0"),
@@ -291,6 +326,20 @@ def test_check_oracle_rejects_bad_options(runner, suite, option, value, message)
     r = runner.invoke(main, ["check", suite, option, value])
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
     assert message in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ["parse", "neko ga sakana wo taberu", "--lex", "ja", "--format", "xml"],
+    ["parse", "neko", "--lex", "ja", "--bogus"],
+    ["check", "nope"],
+    ["check", "naturality", "--tol", "abc"],
+    ["--bogus"],
+])
+def test_usage_errors_exit_1_without_traceback(runner, args):
+    # exit 2 is kept for linguistic failures
+    r = runner.invoke(main, args)
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert "Error: " in r.output
 
 
 def test_validate(runner):

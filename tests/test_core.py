@@ -11,7 +11,6 @@ from pregtrans.core import (
     SimpleType,
     TypeParseError,
     UnknownAtomError,
-    atom_leq,
     contracts,
     left_adjoint,
     parse_type,
@@ -165,6 +164,13 @@ def test_parse_errors():
     for bad in ["< n", "n >", "< n < s > >", "n^x", "b(n", "< >"]:
         with pytest.raises(TypeParseError):
             parse_type(bad, TABLE)
+
+
+@pytest.mark.parametrize("text, position", [("n < n >", 2), ("< n > n", 6)])
+def test_parse_refuses_material_outside_brace_segments(text, position):
+    with pytest.raises(TypeParseError, match="material outside brace segments") as caught:
+        parse_type(text, TABLE)
+    assert caught.value.position == position
 
 
 @given(compounds)

@@ -7,7 +7,6 @@ import pytest
 from pregtrans import data as bundled
 from pregtrans.core import render_type
 from pregtrans.lexicon import (
-    Lexicon,
     LexiconError,
     Metarule,
     UnknownWordError,

@@ -98,7 +98,7 @@ def test_limit_keeps_the_first_witnesses_in_search_order():
     for k in (1, 5, 20, 42, 100):
         some = enumerate_reductions(COORDINATION, goal, NS, limit=k)
         assert len(some) == min(k, 42) and set(some) <= set(full)
-        assert [w.sort_key for w in some] == sorted(w.sort_key for w in some)
+        assert some == sorted(some)
 
 
 def test_determinism_and_ordering():
@@ -106,7 +106,7 @@ def test_determinism_and_ordering():
     ws1 = enumerate_reductions(t, parse_type("n", NS), NS)
     ws2 = enumerate_reductions(t, parse_type("n", NS), NS)
     assert ws1 == ws2
-    assert [w.sort_key for w in ws1] == sorted(w.sort_key for w in ws1)
+    assert ws1 == sorted(ws1)
 
 
 # ---- witness structural invariants -----------------------------------------
@@ -117,14 +117,27 @@ random_parts = st.lists(
 )
 
 
+def assert_in_left_end_order(w):
+    # the one witness form: link tuples with i < j, in strictly increasing
+    # order of left end, and the residue in increasing order
+    assert type(w.links) is tuple and type(w.residue) is tuple
+    assert all(i < j for i, j in w.links)
+    assert all(a[0] < b[0] for a, b in zip(w.links, w.links[1:]))
+    assert all(a < b for a, b in zip(w.residue, w.residue[1:]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_parts)
 def test_dp_matches_brute_force(parts):
     t = CompoundType(tuple(parts))
     goal = CompoundType((SimpleType("b"),))
-    fast = set(enumerate_reductions(t, goal, TABLE))
-    slow = set(oracle_reduce(t, goal, TABLE))
-    assert fast == slow
+    fast = enumerate_reductions(t, goal, TABLE)
+    assert fast == oracle_reduce(t, goal, TABLE)
+    for w in fast:
+        assert_in_left_end_order(w)
+    # tuples compare in order, so reduce's witness has the same form
+    first = reduce(t, goal, TABLE)
+    assert (first in fast) if fast else (first is None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,7 +292,10 @@ goals = st.sampled_from([CompoundType(), CompoundType((SimpleType("b"),))])
 @given(lattices, goals)
 def test_type_selections_match_product_loop(alternatives, goal):
     got = [
-        (selection, set(search.witnesses()))
+        (selection, search.witnesses())
         for selection, search in type_selections(alternatives, goal, TABLE)
     ]
-    assert got == [(s, set(ws)) for s, ws in oracle_selections(alternatives, goal, TABLE)]
+    assert got == oracle_selections(alternatives, goal, TABLE)
+    for _, witnesses in got:
+        for w in witnesses:
+            assert_in_left_end_order(w)

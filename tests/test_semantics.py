@@ -34,7 +34,6 @@ from pregtrans.semantics import (
     AlphaSpec,
     SemanticsError,
     SpaceAssignment,
-    WordTensor,
     apply_alpha,
     check_naturality,
     epsilon,
@@ -314,6 +313,23 @@ def test_interpret_rejects_witnesses_that_are_not_planar_reductions(links, resid
     tensors = [make_word_tensor(w, t, np.arange(4.0).reshape(2, 2), spaces) for w in "ab"]
     with pytest.raises(SemanticsError, match="not a planar reduction"):
         interpret(ReductionWitness(frozenset(links), residue), tensors, spaces)
+
+
+def test_interpret_of_no_words_is_the_scalar_one():
+    v = interpret(ReductionWitness((), ()), [], SpaceAssignment.make({"n": 2}))
+    assert v.shape == () and v == 1.0
+
+
+def test_interpret_rejects_a_link_between_axes_of_different_dimensions():
+    # n <= pi licenses the link n pi^r, but the spaces of n and pi differ
+    table = AtomTable({"n", "pi"}, [("n", "pi")])
+    spaces = SpaceAssignment.make({"n": 2, "pi": 3})
+    words = [("a", "n", np.ones(2)), ("b", "pi^r", np.ones(3))]
+    tensors = [make_word_tensor(w, parse_type(t, table), d, spaces) for w, t, d in words]
+    w = reduce(flat_type(tensors), CompoundType(), table)
+    assert w == ReductionWitness(((0, 1),), ())
+    with pytest.raises(SemanticsError, match=r"^link \(0, 1\) pairs axes of dimensions 2 and 3$"):
+        interpret(w, tensors, spaces)
 
 
 # ---- alpha -----------------------------------------------------------------------

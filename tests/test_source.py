@@ -1,14 +1,17 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and no module defines a private name it never uses."""
+"""Source hygiene: no module of the package or the tests imports a name it
+never uses, and no module of the package defines a private name it never
+uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pregtrans"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pregtrans"
 # a package's __init__ imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,7 +33,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: str(
+    p.relative_to(PACKAGE if p.is_relative_to(PACKAGE) else ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
