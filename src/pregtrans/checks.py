@@ -138,13 +138,16 @@ class OracleSizeError(PregroupError):
     pass
 
 
+ORACLE_MAX_LEN = 12  # simple types; the oracle's work grows exponentially
+
+
 def oracle_reduce(input: Type, target: CompoundType, table: AtomTable) -> list[ReductionWitness]:
     """Brute-force reference: apply single adjacent contractions in every
     order and collect the distinct witnesses whose remainder matches the
     target pointwise, sorted as tuples.  Guarded against blow-up."""
     parts = flatten(input).parts
-    if len(parts) > 12:
-        raise OracleSizeError(f"oracle limited to length <= 12, got {len(parts)}")
+    if len(parts) > ORACLE_MAX_LEN:
+        raise OracleSizeError(f"oracle limited to length <= {ORACLE_MAX_LEN}, got {len(parts)}")
     goal = target.parts
     results: set[ReductionWitness] = set()
     seen: set[tuple] = set()

@@ -40,8 +40,9 @@ class CliError(click.ClickException):
 
 
 def _configured(step, *args, **kwargs):
-    """``step(*args, **kwargs)``, with a usage error, a missing data file or
-    bad data in one made a configuration error."""
+    """``step(*args, **kwargs)``, with a usage error, a missing data file,
+    bad data in one or a sentence too long for the search made a
+    configuration error."""
     try:
         return step(*args, **kwargs)
     except click.UsageError as exc:
@@ -49,6 +50,8 @@ def _configured(step, *args, **kwargs):
         raise
     except (FileNotFoundError, PregroupError) as exc:
         raise CliError(str(exc)) from exc
+    except RecursionError as exc:  # the search recurses once per link and residue step
+        raise CliError("sentence too long for the search (recursion limit reached)") from exc
 
 
 class _Group(click.Group):
@@ -229,6 +232,9 @@ def cmd_check(suite, tol, max_len, count, fmt):
     if suite == "oracle":
         if max_len < 0:
             raise CliError("--max-len must be at least 0")
+        if max_len > checks.ORACLE_MAX_LEN:
+            raise CliError(f"--max-len {max_len}: oracle limited to length <= "
+                           f"{checks.ORACLE_MAX_LEN}")
         if count < 1:
             raise CliError("--count must be at least 1")
     failures = _SUITES[suite](tol, max_len, count)

@@ -4,17 +4,22 @@ A witness is a non-crossing, well-nested tuple of contraction links in
 order of left end plus the ordered residue of unlinked positions.  The
 input is a lattice: tokens with one or more alternative types each, whose
 simple types are the edges of a DAG whose paths spell the type selections;
-a flat type has one alternative per token.  :class:`SpanSearch` decides lazily, with memos, whether a path
-between two nodes reduces to the unit (a span) or to the rest of the target
-(a goal state).  For N simple types there are O(N^2) such states, each
-decided in O(N) steps, so a sentence is decided in O(N^3) time and no state
-known to fail is expanded twice.  Witnesses come out depth first in a fixed
-search order, entering only states that succeed, and a span's link sets are
-a lazy stream shared by every context around it.  :func:`type_selections`
-picks type selections in ``itertools.product`` order.  Induced order steps
-(s1 -> s, n -> pi) are folded into the contraction and residue checks.
-One linear bracket scan, :meth:`ReductionWitness.partners`, checks a witness
-for :func:`render_diagram` and for ``semantics.interpret``, which rejects a
+a flat type has one alternative per token.  :class:`SpanSearch` decides
+lazily, with memos, whether a path between two nodes reduces to the unit
+(a span) or to the rest of the target (a goal state).  For N simple types
+there are O(N^2) such states, each decided in O(N) steps in one Python
+frame, so a sentence is decided in O(N^3) time and no state known to fail
+is expanded twice.  The search recurses once per link and residue step:
+under the default recursion limit, a chain of about 950 two-type words is
+the longest it decides.  Witnesses come out depth first in a fixed search
+order, entering only states that succeed, and a span's link sets are a
+lazy stream shared by every context around it.  :func:`type_selections`
+walks the tokens with more than one type left to right, building one
+search per alternative it tries, and yields the selections in
+``itertools.product`` order.  Induced order steps (s1 -> s, n -> pi) are
+folded into the contraction and residue checks.  One linear bracket scan,
+:meth:`ReductionWitness.partners`, checks a witness for
+:func:`render_diagram` and for ``semantics.interpret``, which rejects a
 witness that is not a planar reduction.
 """
 
@@ -158,27 +163,29 @@ class SpanSearch:
         return found
 
     def reach(self, u: int, t: int, v: int):
-        """Whether some path from node u to node v reduces to ``goal[t:]``."""
-        if u == v and t == self.m:
+        """Whether some path from node u to node v reduces to ``goal[t:]``:
+        the state's memo entry, found on first use."""
+        m = self.m
+        if u == v and t == m:
             return _STOP
         key = (u * self.depth + t) * self.width + v
         move = self.memo.get(key)
-        if move is None:
-            move = self.memo[key] = self._reach(u, t, v)
-        return move
-
-    def _reach(self, u, t, v):
-        m, src, dst, reach = self.m, self.src, self.dst, self.reach
+        if move is not None:
+            return move
         if t == m and v in self.eps.get(u, ()):
             return _STOP
+        memo, src, dst, reach = self.memo, self.src, self.dst, self.reach
         for p in self.out[u]:
             if self.parts[p] in self.below[t] and reach(dst[p], t + 1, v):
-                return (p, -1)
+                memo[key] = move = (p, -1)
+                return move
             for k in self.linkable(p):
                 if dst[k] > v:
                     break
                 if reach(dst[p], m, src[k]) and reach(dst[k], t, v):
-                    return (p, k)
+                    memo[key] = move = (p, k)
+                    return move
+        memo[key] = False
         return False
 
     def reduces(self) -> bool:
@@ -259,52 +266,39 @@ class SpanSearch:
 def type_selections(alternatives, target: CompoundType, table: AtomTable):
     """Yield ``(selection, search)`` for every choice of one type per token
     that reduces to ``target``, in ``itertools.product`` order; ``search``
-    is the selection's flat :class:`SpanSearch`, whose memos the pick has
-    filled.  Tokens are fixed left to right, keeping an alternative when
-    some choice for the later tokens completes it: first the flat search
-    with every later token's first type, then, if the later tokens have
-    other choices, the lattice with them left open."""
-    return _Picker(alternatives, target, table).walk((), False)
+    is the selection's flat :class:`SpanSearch`.  One walk fixes the tokens
+    with more than one type left to right.  It keeps an alternative when one
+    search, over the types fixed so far and the later tokens' alternatives,
+    reduces; after the last such token that search is flat, and is the one
+    yielded.  Where a selection is known to exist and no earlier alternative
+    was kept, the last alternative is kept unchecked."""
+    if not all(alternatives):  # a token with no type: no selection
+        return
+    chosen = [alts[0] for alts in alternatives]
+    ambiguous = [t for t, alts in enumerate(alternatives) if len(alts) > 1]
 
+    def search(t):  # chosen fixed up to token t, the later tokens left open
+        fixed = [(x,) for x in chosen[:t + 1]] + list(alternatives[t + 1:])
+        return SpanSearch(fixed, target, table)
 
-class _Picker:
-    """The state of one :func:`type_selections` run."""
-
-    def __init__(self, alternatives, target, table):
-        self.alternatives, self.target, self.table = alternatives, target, table
-        self.n = len(alternatives)
-        self.flats: dict[tuple[int, ...], SpanSearch] = {}
-
-    def fixed(self, choice):  # the lattice with the chosen alternatives only
-        return [(self.alternatives[i][a],) for i, a in enumerate(choice)]
-
-    def flat(self, choice) -> SpanSearch:
-        if choice not in self.flats:
-            self.flats[choice] = SpanSearch(self.fixed(choice), self.target, self.table)
-        return self.flats[choice]
-
-    def completes(self, prefix) -> bool:
-        rest = self.alternatives[len(prefix):]
-        if self.flat(prefix + (0,) * len(rest)).reduces():
-            return True
-        if all(len(a) == 1 for a in rest):  # that was the only completion
-            return False
-        return SpanSearch(self.fixed(prefix) + list(rest), self.target, self.table).reduces()
-
-    def walk(self, prefix, known: bool):
-        # known: some completion of prefix uses an alternative not yet tried
-        alternatives, t = self.alternatives, len(prefix)
-        while t < self.n and len(alternatives[t]) == 1:
-            prefix, t = prefix + (0,), t + 1
-        if t == self.n:
-            search = self.flat(prefix)
-            if search.reduces():
-                yield tuple(alternatives[i][a] for i, a in enumerate(prefix)), search
+    def walk(d, found):
+        # the selections that extend chosen up to token ambiguous[d - 1];
+        # found: the search that showed there is one, if any
+        if d == len(ambiguous):
+            found = found or search(len(chosen) - 1)
+            if found.reduces():
+                yield tuple(chosen), found
             return
-        for a in range(len(alternatives[t])):
-            if (known and a == len(alternatives[t]) - 1) or self.completes(prefix + (a,)):
-                yield from self.walk(prefix + (a,), True)
+        t = ambiguous[d]
+        known = d > 0  # a selection extends chosen, and no alternative is kept yet
+        for a, x in enumerate(alternatives[t]):
+            chosen[t] = x
+            found = None if known and a == len(alternatives[t]) - 1 else search(t)
+            if found is None or found.reduces():
+                yield from walk(d + 1, found)
                 known = False
+
+    yield from walk(0, None)
 
 
 def enumerate_reductions(

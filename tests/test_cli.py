@@ -83,6 +83,33 @@ def test_parse_rejects_stress_sentences_quickly(runner, lex, sentence):
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_parse_word_without_types_after_ambiguous_word_exits_2(runner, tmp_path):
+    # no empty_words: the empty word @0 has no type, so no selection exists
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps({
+        "atoms": ["n", "s"],
+        "entries": [{"word": "a", "types": ["n", "s"]}, {"word": "b", "types": ["n^r s"]}],
+    }))
+    r = runner.invoke(main, ["parse", "a @0 b", "--lex", str(lex)])
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.exception
+    assert "not reducible" in r.output
+
+
+@pytest.mark.parametrize("extra", [[], ["--all"]])
+def test_parse_long_sentence(runner, extra):
+    sentence = " ".join(["old"] * 600 + ["teachers"])
+    r = runner.invoke(main, ["parse", sentence, "--lex", "en", "--target", "n"] + extra)
+    assert r.exit_code == 0, r.exception
+    assert r.output.count("\n\n") == 1  # one witness
+
+
+def test_parse_sentence_too_long_for_the_search_exits_1(runner):
+    sentence = " ".join(["old"] * 3000 + ["teachers"])
+    r = runner.invoke(main, ["parse", sentence, "--lex", "en", "--target", "n"])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
+    assert r.output == "Error: sentence too long for the search (recursion limit reached)\n"
+
+
 def test_parse_unknown_lexicon_exits_1(runner):
     r = runner.invoke(main, ["parse", "x", "--lex", "nope"])
     assert r.exit_code == 1
@@ -317,13 +344,14 @@ def test_check_oracle(runner):
     ("oracle", "--max-len", "-1", "--max-len must be at least 0"),
     ("oracle", "--count", "0", "--count must be at least 1"),
     ("oracle", "--max-len", "20", "oracle limited to length <= 12"),
+    ("oracle", "--max-len", "13 --count 1", "oracle limited to length <= 12"),
     ("naturality", "--tol", "-1", "--tol must be a finite number at least 0"),
     ("naturality", "--tol", "nan", "--tol must be a finite number at least 0"),
     ("naturality", "--tol", "inf", "--tol must be a finite number at least 0"),
     ("oracle", "--tol", "-inf", "--tol must be a finite number at least 0"),
 ])
 def test_check_oracle_rejects_bad_options(runner, suite, option, value, message):
-    r = runner.invoke(main, ["check", suite, option, value])
+    r = runner.invoke(main, ["check", suite, option, *value.split()])
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.exception
     assert message in r.output
 

@@ -294,6 +294,21 @@ def test_untranslatable_sentence_raises():
         translate_sentence(src, tgt, f, wm, ["mori", "neko"])
 
 
+def test_word_without_types_after_ambiguous_word_raises(tmp_path):
+    # no empty_words: the empty word @0 has no type, so no selection exists
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps({
+        "atoms": ["n", "s"],
+        "entries": [{"word": "a", "types": ["n", "s"]}, {"word": "b", "types": ["n^r s"]}],
+    }))
+    src = load_lexicon(path)
+    f = FunctorSpec("x", "x", "homomorphism", {a: parse_type(a, src.table) for a in "ns"},
+                    src.table)
+    wm = WordMap({"a": "a", "@0": "", "b": "b"})
+    with pytest.raises(NotTranslatableError):
+        translate_sentence(src, src, f, wm, ["a", "@0", "b"])
+
+
 def test_braced_goal_is_rejected():
     src, tgt, f, wm = bundle("jp-en-anti")
     with pytest.raises(TypeParseError, match="brace segments are not allowed"):

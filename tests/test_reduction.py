@@ -101,6 +101,13 @@ def test_limit_keeps_the_first_witnesses_in_search_order():
         assert some == sorted(some)
 
 
+def test_long_chain_reduces():
+    # one frame per search state: 1601 simple types stay under the recursion limit
+    t = parse_type("n n^l " * 800 + "n", NS)
+    w = reduce(t, parse_type("n", NS), NS)
+    assert w.residue == (0,) and w.links == tuple((p, p + 1) for p in range(1, 1601, 2))
+
+
 def test_determinism_and_ordering():
     t = parse_type("n n^l n n^r n n^l n", NS)
     ws1 = enumerate_reductions(t, parse_type("n", NS), NS)
@@ -284,7 +291,7 @@ def test_render_dot_deterministic():
 alternative = st.lists(
     st.builds(SimpleType, st.sampled_from("abcd"), st.integers(-1, 1)), max_size=3
 ).map(lambda parts: CompoundType(tuple(parts)))
-lattices = st.lists(st.lists(alternative, min_size=1, max_size=3, unique=True), max_size=4)
+lattices = st.lists(st.lists(alternative, min_size=0, max_size=3, unique=True), max_size=4)
 goals = st.sampled_from([CompoundType(), CompoundType((SimpleType("b"),))])
 
 

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package or the tests imports a name it
-never uses, and no module of the package defines a private name it never
-uses."""
+never uses, and no module of the package defines a private name, or a
+private method or class attribute, it never reads."""
 
 import ast
 from pathlib import Path
@@ -51,12 +51,11 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["line 2: json", "line 3: a"]
 
 
-def unused_private_names(source: str) -> list[str]:
-    """Module-level names with one leading underscore that the module
-    defines and never reads."""
-    tree = ast.parse(source)
-    defined = {}
-    for node in tree.body:
+def private_definitions(body) -> list[tuple[str, int]]:
+    """Each name with one leading underscore that a statement of ``body``
+    defines, with its line."""
+    found = []
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -64,9 +63,18 @@ def unused_private_names(source: str) -> list[str]:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined.setdefault(name, node.lineno)
+        found += [(name, node.lineno) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level names with one leading underscore that the module
+    defines and never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for name, line in private_definitions(tree.body):
+        defined.setdefault(name, line)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
@@ -87,3 +95,36 @@ def test_unused_private_name_is_found():
         "    _inner = 4\n"
     )
     assert unused_private_names(source) == ["line 1: _B", "line 4: _f", "line 6: _C"]
+
+
+def unused_private_members(source: str) -> list[str]:
+    """Methods and class attributes with one leading underscore that a class
+    body defines and its module never reads as ``._name``."""
+    tree = ast.parse(source)
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {cls.name}.{name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for name, line in private_definitions(cls.body) if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_private_members(path):
+    assert unused_private_members(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_private_member_is_found():
+    source = (
+        "class C:\n"
+        "    _used, _unused = 1, 2\n"
+        "    __slots__ = ()\n"
+        "    def __init__(self):\n"
+        "        self._state = self._used\n"
+        "    def _helper(self):\n"
+        "        return self._step()\n"
+        "    def _step(self):\n"
+        "        return 0\n"
+        "    def public(self):\n"
+        "        return _helper\n"
+    )
+    assert unused_private_members(source) == ["line 2: C._unused", "line 6: C._helper"]
