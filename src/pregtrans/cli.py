@@ -29,7 +29,7 @@ from .functors import (
     translate_sentence,
 )
 from .lexicon import UnknownWordError, load_lexicon
-from .reduction import render_diagram, type_selections
+from .reduction import DEFAULT_LIMIT, render_diagram, type_selections
 
 EXIT_CONFIG = 1
 EXIT_LINGUISTIC = 2
@@ -40,9 +40,8 @@ class CliError(click.ClickException):
 
 
 def _configured(step, *args, **kwargs):
-    """``step(*args, **kwargs)``, with a usage error, a missing data file,
-    bad data in one or a sentence too long for the search made a
-    configuration error."""
+    """``step(*args, **kwargs)``, with a usage error, a missing data file or
+    bad data in one made a configuration error."""
     try:
         return step(*args, **kwargs)
     except click.UsageError as exc:
@@ -50,8 +49,6 @@ def _configured(step, *args, **kwargs):
         raise
     except (FileNotFoundError, PregroupError) as exc:
         raise CliError(str(exc)) from exc
-    except RecursionError as exc:  # the search recurses once per link and residue step
-        raise CliError("sentence too long for the search (recursion limit reached)") from exc
 
 
 class _Group(click.Group):
@@ -96,7 +93,7 @@ def main():
 @click.option("--lex", "lexicon_name", required=True, help="Lexicon name or path.")
 @click.option("--target", default="s", show_default=True, help="Target type string.")
 @click.option("--all", "enumerate_all", is_flag=True, help="Enumerate all witnesses.")
-@click.option("--limit", default=1024, show_default=True)
+@click.option("--limit", default=DEFAULT_LIMIT, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "dot", "json"]), default="text")
 def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     """Decide grammaticality and render reduction diagrams.

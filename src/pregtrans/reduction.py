@@ -5,16 +5,15 @@ order of left end plus the ordered residue of unlinked positions.  The
 input is a lattice: tokens with one or more alternative types each, whose
 simple types are the edges of a DAG whose paths spell the type selections;
 a flat type has one alternative per token.  :class:`SpanSearch` decides
-lazily, with memos, whether a path between two nodes reduces to the unit
-(a span) or to the rest of the target (a goal state).  For N simple types
-there are O(N^2) such states, each decided in O(N) steps in one Python
-frame, so a sentence is decided in O(N^3) time and no state known to fail
-is expanded twice.  The search recurses once per link and residue step:
-under the default recursion limit, a chain of about 950 two-type words is
-the longest it decides.  Witnesses come out depth first in a fixed search
-order, entering only states that succeed, and a span's link sets are a
-lazy stream shared by every context around it.  :func:`type_selections`
-walks the tokens with more than one type left to right, building one
+it in one pass from the end node back to the start.  Each node gets two
+bit sets: the nodes it reaches over a path that reduces to the unit (a
+span), and the suffixes of the target that a path from it to the end
+reduces to.  For N simple types that is O(N^2) Python steps over N-bit
+sets, with no recursion, so no length limit.  Witnesses are read off the
+bit sets with explicit stacks, in a fixed search order that enters only
+states that succeed: the first witness one state at a time, all of them
+depth first over each state's ways.  :func:`type_selections` walks the
+tokens with more than one type left to right on a stack, building one
 search per alternative it tries, and yields the selections in
 ``itertools.product`` order.  Induced order steps (s1 -> s, n -> pi) are
 folded into the contraction and residue checks.  One linear bracket scan,
@@ -82,184 +81,182 @@ class ReductionWitness(NamedTuple):
         return partner
 
 
-_STOP = (-1, -1)  # memo move: take the empty path
-
-
 class SpanSearch:
-    """Memoised reduction search over a lattice of type alternatives.
+    """Reduction search over a lattice of type alternatives, decided in one
+    backward pass over bit sets.
 
     ``alternatives`` holds one sequence of types per token.  Position p is
-    the simple type ``parts[p]`` on the edge ``src[p] -> dst[p]``; node 0
-    is the start and ``end`` the end.  Nodes and positions are numbered in
-    token order, so edges point forward, and with one alternative per token
-    position p is the p-th simple type of the concatenation.  A state
-    (u, t, v) asks whether a path from node u to node v reduces to
-    ``goal[t:]``; with t = len(goal) that is the unit.  Its memo entry is
-    False if it fails, else its first move in search order: ``(p, k)``
-    links p to k, ``(p, -1)`` keeps p as residue and ``_STOP`` ends.
+    the simple type ``parts[p]`` on the edge from node p to node ``dst[p]``;
+    node 0 is the start and ``end`` the end.  A token starts at the node of
+    its first alternative's first position, and empty edges (``eps``) lead
+    from there to its other alternatives and, if one is empty, to its end.
+    Edges point forward, and with one alternative per token position p is
+    the p-th simple type of the concatenation.  A state (u, t, v) asks
+    whether a path from node u to node v reduces to ``goal[t:]``; with t =
+    len(goal) that is the unit, and with a shorter t v is ``end``.  From
+    ``end`` back to node 0 the pass fills ``spans[u]``, whose bit v (v <
+    end) is set when a path u -> v reduces to the unit, and ``goals[u]``,
+    whose bit t is set when a path u -> end reduces to ``goal[t:]``.  Every
+    state's answer is then one bit test, and the right ends a link from
+    position p can take are the set bits of ``spans[dst[p]]`` that hold a
+    partner of ``parts[p]``.
     """
 
     def __init__(self, alternatives, target: CompoundType, table: AtomTable):
-        self.goal, self.table, self.m = target.parts, table, len(target)
-        self.below = [table.below[g] for g in self.goal] + [()]
-        self.eps: dict[int, frozenset[int]] = {}  # nodes reached over empty alternatives
-        if all(len(a) == 1 for a in alternatives):
-            self.parts = [x for a in alternatives for x in flatten(a[0]).parts]
-            n = self.end = len(self.parts)
-            self.src, self.dst, self.par = range(n), range(1, n + 1), None
-            self.out = [(u,) for u in range(n)] + [()]
-        else:
-            self._layout([[flatten(a).parts for a in alts] for alts in alternatives])
-        self.width, self.depth = self.end + 1, self.m + 1
-        self.linked: list[list[int] | None] = [None] * len(self.parts)  # see linkable()
-        self.memo: dict[int, object] = {}  # state -> False or its first move
-        self.streams: dict[int, object] = {}  # span -> its link sets, see trees()
+        self.table = table
+        self.m = len(target)
+        self.below = [table.below[g] for g in target.parts] + [()]
+        self._layout([[flatten(a).parts for a in alts] for alts in alternatives])
+        self._fill()
+        if not all(alternatives):  # a token without a type: no path crosses it
+            self.goals[0] = 0
 
     def _layout(self, tokens):
-        # node ids are position ids: a token starts at its first position,
-        # and inside an alternative the node before position p is p
-        parts, src, dst, skips = [], [], [], {}
+        parts, dst, eps = [], [], {}  # eps: node -> the nodes one empty edge leads to
         for strings in tokens:
             start = len(parts)
             end = start + sum(map(len, strings))
             for s in strings:
+                w = len(parts) if s else end  # where the alternative starts
+                if w != start:
+                    eps.setdefault(start, {})[w] = None
                 for j, x in enumerate(s):
-                    src.append(start if j == 0 else len(parts))
-                    dst.append(end if j == len(s) - 1 else len(parts) + 1)
                     parts.append(x)
-                if not s and end != start:  # an empty alternative skips the token
-                    skips[start] = end
-        out = [[] for _ in range(len(parts) + 1)]
-        for p, u in enumerate(src):
-            out[u].append(p)
-        for u in sorted(skips, reverse=True):  # a skipped token's edges also leave u
-            self.eps[u] = frozenset({skips[u]}) | self.eps.get(skips[u], frozenset())
-            out[u] += out[skips[u]]
-        par = [1] + [0] * len(parts)  # path lengths from the start: 1 even, 2 odd, 3 both
-        for u, edges in enumerate(out):
-            for p in edges:
-                par[dst[p]] |= 3 if par[u] == 3 else 3 - par[u]
-            for v in self.eps.get(u, ()):
-                par[v] |= par[u]
-        self.parts, self.src, self.dst, self.out, self.par = parts, src, dst, out, par
-        self.end = len(parts)
+                    dst.append(end if j == len(s) - 1 else len(parts))
+        self.parts, self.dst, self.eps, self.end = parts, dst, eps, len(parts)
 
-    def linkable(self, p: int) -> list[int]:
-        """The positions p may link to, nearest end node first, across a
-        span that can have even length; found on first use."""
-        found = self.linked[p]
-        if found is None:
-            parts, ys, dst = self.parts, self.table.partners[self.parts[p]], self.dst
-            if self.par is None:  # flat: the later positions at odd distance
-                found = [k for k in range(p + 1, len(parts), 2) if parts[k] in ys]
-            else:
-                d, src, par = dst[p], self.src, self.par
-                found = [
-                    k for k in range(p + 1, len(parts))
-                    if parts[k] in ys and src[k] >= d and par[d] & par[src[k]]
-                ]
-                found.sort(key=dst.__getitem__)
-            self.linked[p] = found
-        return found
-
-    def reach(self, u: int, t: int, v: int):
-        """Whether some path from node u to node v reduces to ``goal[t:]``:
-        the state's memo entry, found on first use."""
-        m = self.m
-        if u == v and t == m:
-            return _STOP
-        key = (u * self.depth + t) * self.width + v
-        move = self.memo.get(key)
-        if move is not None:
-            return move
-        if t == m and v in self.eps.get(u, ()):
-            return _STOP
-        memo, src, dst, reach = self.memo, self.src, self.dst, self.reach
-        for p in self.out[u]:
-            if self.parts[p] in self.below[t] and reach(dst[p], t + 1, v):
-                memo[key] = move = (p, -1)
-                return move
-            for k in self.linkable(p):
-                if dst[k] > v:
-                    break
-                if reach(dst[p], m, src[k]) and reach(dst[k], t, v):
-                    memo[key] = move = (p, k)
-                    return move
-        memo[key] = False
-        return False
+    def _fill(self):
+        m, n, parts, dst = self.m, self.end, self.parts, self.dst
+        eps, partners, below = self.eps, self.table.partners, self.below
+        fits, where = {}, {}
+        spans = self.spans = [0] * (n + 1)
+        goals = self.goals = [0] * n + [1 << m]
+        for u in range(n - 1, -1, -1):
+            x, d = parts[u], dst[u]
+            span = 1 << u
+            goal = goals[d] >> 1  # u kept as residue, where it fits
+            if goal:
+                if x not in fits:
+                    fits[x] = sum(1 << t for t in range(m) if x in below[t])
+                goal &= fits[x]
+            ends = 0  # u links to a partner k across a span d -> k
+            for y in partners[x]:
+                ends |= where.get(y, 0)
+            ends &= spans[d]
+            while ends:
+                k = (ends & -ends).bit_length() - 1
+                ends &= ends - 1
+                span |= spans[dst[k]]
+                goal |= goals[dst[k]]
+            for w in eps.get(u, ()):
+                span |= spans[w]
+                goal |= goals[w]
+            spans[u] = span
+            goals[u] = goal
+            where[x] = where.get(x, 0) | 1 << u  # the positions from u on, by type
 
     def reduces(self) -> bool:
-        return bool(self.reach(0, 0, self.end))
+        return bool(self.goals[0] & 1)
 
-    def trees(self, u: int, t: int, v: int):
-        """The ways state (u, t, v) succeeds, in search order, each a tree
-        ``((p, k), inner, rest)`` ending in None.  A span's trees (t =
-        len(goal)) are a lazy stream shared by every context around it."""
-        if t < self.m:
-            return self._trees(u, t, v)
-        if u == v:
-            return (None,)
-        key = u * self.width + v
-        if key not in self.streams:  # a tee that never advances keeps every item
-            self.streams[key] = itertools.tee(self._trees(u, t, v), 1)[0]
-        return self.streams[key].__copy__()
+    def _ways(self, u: int, t: int, v: int):
+        # the ways state (u, t, v) succeeds, in search order, each a move
+        # and the states it leaves that do not take the empty path, inner
+        # span first: (u, -1) keeps u as residue, (u, k) links u to k, None
+        # takes the empty path or an empty edge
+        m, parts, dst = self.m, self.parts, self.dst
+        spans, goals = self.spans, self.goals
+        if t == m and u == v:
+            yield None, ()
+            return
 
-    def _trees(self, u, t, v):
-        m, src, dst, reach = self.m, self.src, self.dst, self.reach
-        if t == m and (u == v or v in self.eps.get(u, ())):
-            yield None
-        for p in self.out[u]:
-            if self.parts[p] in self.below[t] and reach(dst[p], t + 1, v):
-                for rest in self.trees(dst[p], t + 1, v):
-                    yield ((p, -1), None, rest)
-            for k in self.linkable(p):
-                if dst[k] > v:
-                    break
-                if reach(dst[p], m, src[k]) and reach(dst[k], t, v):
-                    for inner in self.trees(dst[p], m, src[k]):
-                        for rest in self.trees(dst[k], t, v):
-                            yield ((p, k), inner, rest)
+        def left(*states):
+            return tuple(s for s in states if s[0] != s[2] or s[1] < m)
 
-    def _first(self, u, t, v, links, residue):
-        # the first tree of a state that succeeds, read off the memo
-        while (move := self.reach(u, t, v)) is not _STOP:
-            p, k = move
-            if k < 0:
-                residue.append(p)
-                u, t = self.dst[p], t + 1
-            else:
-                links.append(move)
-                self._first(self.dst[p], self.m, self.src[k], links, residue)
-                u = self.dst[k]
+        rests, bit = (goals, t) if v == self.end else (spans, v)
+        x, d = parts[u], dst[u]
+        if x in self.below[t] and goals[d] >> t + 1 & 1:
+            yield (u, -1), left((d, t + 1, v))
+        ys = self.table.partners[x]
+        ends = spans[d]
+        while ends:
+            k = (ends & -ends).bit_length() - 1
+            ends &= ends - 1
+            if parts[k] in ys and rests[dst[k]] >> bit & 1:
+                yield (u, k), left((d, m, k), (dst[k], t, v))
+        for w in self.eps.get(u, ()):
+            if rests[w] >> bit & 1:
+                yield None, left((w, t, v))
+
+    def _first(self) -> ReductionWitness:
+        # each state's first way in _ways' order, off a stack of states; a
+        # loop of its own, as a generator per state would cost about as much
+        # as deciding a short sentence
+        m, n, parts, dst = self.m, self.end, self.parts, self.dst
+        spans, goals = self.spans, self.goals
+        below, partners = self.below, self.table.partners
+        links, residue, todo = [], [], [(0, 0, n)]
+        while todo:
+            u, t, v = todo.pop()
+            while t < m or u != v:
+                x, d = parts[u], dst[u]
+                if x in below[t] and goals[d] >> t + 1 & 1:
+                    residue.append(u)
+                    u, t = d, t + 1
+                    continue
+                rests, bit = (goals, t) if v == n else (spans, v)
+                ys = partners[x]
+                ends = spans[d]
+                while ends:
+                    k = (ends & -ends).bit_length() - 1
+                    ends &= ends - 1
+                    if parts[k] in ys and rests[dst[k]] >> bit & 1:
+                        links.append((u, k))
+                        todo.append((dst[k], t, v))
+                        u, t, v = d, m, k
+                        break
+                else:
+                    u = next(w for w in self.eps[u] if rests[w] >> bit & 1)
+        return ReductionWitness(tuple(links), tuple(residue))
 
     def witnesses(self, limit: int = DEFAULT_LIMIT) -> list[ReductionWitness]:
         """The first ``limit`` witnesses in search order, sorted.  The search
         reads positions left to right; at each it first keeps the simple type
         as the next residue element, then links it to its partners from the
-        nearest on, taking inner link sets in the same order.  A tree is read
-        inner span first, so links come out in order of left end."""
+        nearest on, taking inner link sets in the same order.  A witness is
+        read inner span first, so links come out in order of left end."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if not self.reduces():
             return []
         if limit == 1:
-            links, residue = [], []
-            self._first(0, 0, self.end, links, residue)
-            return [ReductionWitness(tuple(links), tuple(residue))]
-        found = []
-        for tree in itertools.islice(self.trees(0, 0, self.end), limit):
-            links, residue, todo = [], [], [tree]
-            while todo:
-                tree = todo.pop()
-                if tree is not None:  # links share the search's (p, k) tuples
-                    move, inner, rest = tree
-                    if move[1] < 0:
-                        residue.append(move[0])
-                    else:
-                        links.append(move)
-                    todo += (rest, inner)
-            found.append(ReductionWitness(tuple(links), tuple(residue)))
-        self.streams.clear()  # its generators refer back to this search
+            return [self._first()]
+        # depth first over (links and residue kept, move, states left as
+        # nested pairs, next first); a state's ways are listed once, at most
+        # limit of them, as each way leads to a witness
+        found, listed = [], {}
+        links, residue = [], []
+        todo = [(0, 0, None, ((0, 0, self.end), None))]
+        while todo:
+            kept, held, move, left = todo.pop()
+            del links[kept:], residue[held:]
+            if move is not None and move[1] < 0:
+                residue.append(move[0])
+            elif move is not None:
+                links.append(move)
+            if left is None:
+                found.append(ReductionWitness(tuple(links), tuple(residue)))
+                if len(found) == limit:
+                    break
+                continue
+            state, left = left
+            if state not in listed:
+                listed[state] = list(itertools.islice(self._ways(*state), limit))
+            kept, held = len(links), len(residue)
+            for move, states in reversed(listed[state]):
+                rest = left
+                for s in reversed(states):
+                    rest = (s, rest)
+                todo.append((kept, held, move, rest))
         return sorted(found)
 
 
@@ -281,24 +278,26 @@ def type_selections(alternatives, target: CompoundType, table: AtomTable):
         fixed = [(x,) for x in chosen[:t + 1]] + list(alternatives[t + 1:])
         return SpanSearch(fixed, target, table)
 
-    def walk(d, found):
-        # the selections that extend chosen up to token ambiguous[d - 1];
-        # found: the search that showed there is one, if any
+    # a stack of steps (d, a, known, found): try alternative a at token
+    # ambiguous[d], or, past the last such token, yield chosen if found
+    # (else its flat search) reduces.  known: a selection extends chosen
+    # and no alternative is kept yet at depth d, so the last is kept unchecked
+    todo = [(0, 0, False, None)]
+    while todo:
+        d, a, known, found = todo.pop()
         if d == len(ambiguous):
             found = found or search(len(chosen) - 1)
             if found.reduces():
                 yield tuple(chosen), found
-            return
+            continue
         t = ambiguous[d]
-        known = d > 0  # a selection extends chosen, and no alternative is kept yet
-        for a, x in enumerate(alternatives[t]):
-            chosen[t] = x
-            found = None if known and a == len(alternatives[t]) - 1 else search(t)
-            if found is None or found.reduces():
-                yield from walk(d + 1, found)
-                known = False
-
-    yield from walk(0, None)
+        chosen[t] = alternatives[t][a]
+        found = None if known and a == len(alternatives[t]) - 1 else search(t)
+        kept = found is None or found.reduces()
+        if a + 1 < len(alternatives[t]):
+            todo.append((d, a + 1, known and not kept, None))
+        if kept:
+            todo.append((d + 1, 0, True, found))
 
 
 def enumerate_reductions(

@@ -1,14 +1,18 @@
 """Reduction engine: golden witnesses, DP-vs-brute-force, diagram rendering."""
 
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pregtrans import data
 from pregtrans.checks import OracleSizeError, oracle_reduce, oracle_selections
 from pregtrans.core import AtomTable, CompoundType, SimpleType, parse_type
+from pregtrans.lexicon import load_lexicon
 from pregtrans.reduction import (
     ReductionWitness,
+    SpanSearch,
     WitnessError,
     enumerate_reductions,
     reduce,
@@ -102,10 +106,37 @@ def test_limit_keeps_the_first_witnesses_in_search_order():
 
 
 def test_long_chain_reduces():
-    # one frame per search state: 1601 simple types stay under the recursion limit
-    t = parse_type("n n^l " * 800 + "n", NS)
+    t = parse_type("n n^l " * 3000 + "n", NS)
     w = reduce(t, parse_type("n", NS), NS)
-    assert w.residue == (0,) and w.links == tuple((p, p + 1) for p in range(1, 1601, 2))
+    assert w.residue == (0,) and w.links == tuple((p, p + 1) for p in range(1, 6001, 2))
+
+
+def call_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_needs_no_deep_stack():
+    # a fixed number of frames whatever the input: a chain, deep nesting,
+    # and 82 words with two types each
+    chain = parse_type("n n^l " * 1500 + "n", NS)
+    nested = parse_type("n " + "n^l " * 3000 + "n " * 3000, NS)
+    ja = load_lexicon(data.lexicon_path("ja"))
+    words = ("neko no " * 80 + "neko ga sakana wo taberu").split()
+    alternatives = [ja.alternatives(word) for word in words]
+    goal = parse_type("n", NS)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(call_depth() + 60)
+    try:
+        for t in (chain, nested):
+            w = reduce(t, goal, NS)
+            assert enumerate_reductions(t, goal, NS, limit=5) == [w]
+        (selection, search), = type_selections(alternatives, parse_type("s", ja.table), ja.table)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert search.reduces() and len(selection) == len(words)
 
 
 def test_determinism_and_ordering():
@@ -306,3 +337,12 @@ def test_type_selections_match_product_loop(alternatives, goal):
     for _, witnesses in got:
         for w in witnesses:
             assert_in_left_end_order(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices, goals)
+def test_lattice_search_decides_like_the_product_loop(alternatives, goal):
+    # the search over every token's alternatives at once, not only the
+    # flat search of a selection, is checked against the oracle
+    found = SpanSearch(alternatives, goal, TABLE).reduces()
+    assert found == bool(oracle_selections(alternatives, goal, TABLE))
