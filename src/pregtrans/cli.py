@@ -107,7 +107,12 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     exit_code = 0
     budget = limit if enumerate_all else 1
     for line in _sentences(sentence):
-        alternatives = [lex.alternatives(tok) for tok in line.split()]
+        try:
+            alternatives = [lex.alternatives(tok) for tok in line.split()]
+        except UnknownWordError as exc:  # an error for this line; the batch goes on
+            click.echo(f"Error: {exc}", err=True)
+            exit_code = EXIT_CONFIG
+            continue
         found = []  # (flat type, its rendering, witness)
         for selection, search in type_selections(alternatives, goal, lex.table):
             flat = concat(selection)
@@ -119,7 +124,8 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
             witnesses = [{"type": shown, "links": w.links, "residue": w.residue}
                          for _, shown, w in found]
             click.echo(json.dumps({"sentence": line, "reducible": bool(found),
-                                   "witnesses": witnesses}, ensure_ascii=False))
+                                   "witnesses": witnesses}, ensure_ascii=False,
+                                  check_circular=False))
         elif not found:
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
@@ -127,7 +133,7 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
                 click.echo(render_diagram(flat, w, format="text" if fmt == "text" else "dot"))
                 click.echo()
         if not found:
-            exit_code = EXIT_LINGUISTIC
+            exit_code = exit_code or EXIT_LINGUISTIC
     sys.exit(exit_code)
 
 
@@ -191,6 +197,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
                         "diagnostic": result.diagnostic,
                     },
                     ensure_ascii=False,
+                    check_circular=False,
                 )
             )
         else:

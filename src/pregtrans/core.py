@@ -138,6 +138,42 @@ class _Index(dict):
         return found
 
 
+class _Counts(dict):
+    """simple type -> its count digit, and type -> its count code, filled on
+    first lookup.  A digit is ``1 << 64 * (2 * class + beta)``, negated at
+    odd exponents, where the classes are the components of the atom order
+    ``up``; a code is the sum of its simple types' digits.  A contraction
+    or an induced step keeps each class and tag's sum of (-1)^exponent, so
+    a string reduces to a goal only if their codes are equal."""
+
+    __slots__ = ("shift",)
+
+    def __init__(self, up):
+        super().__init__()
+        self.shift = {}  # atom -> 128 * its class
+        classes = 0
+        for a in sorted(up):
+            if a in self.shift:
+                continue
+            todo = [a]
+            while todo:
+                b = todo.pop()
+                if b not in self.shift:
+                    self.shift[b] = 128 * classes
+                    todo += [c for c in up if b in up[c] or c in up[b]]
+            classes += 1
+
+    def __missing__(self, x):
+        if type(x) is not SimpleType:
+            found = self[x] = sum(map(self.__getitem__, flatten(x).parts))
+            return found
+        if x.atom not in self.shift:
+            raise UnknownAtomError(x.atom)
+        digit = 1 << self.shift[x.atom] + 64 * x.beta
+        found = self[x] = -digit if x.exponent % 2 else digit
+        return found
+
+
 class AtomTable:
     """Atomic grammatical types plus a partial order between them.
 
@@ -162,8 +198,10 @@ class AtomTable:
                     raise UnknownAtomError(name)
         self._up = self._close()
         # partners[x]: every y with contracts(x, y); below[y]: every x with
-        # simple_leq(x, y); both filled on first use
+        # simple_leq(x, y); counts[x]: x's count digit, or code for a type;
+        # all filled on first use
         self.partners, self.below = _Index(self._up, 1), _Index(self._up, 0)
+        self.counts = _Counts(self._up)
 
     def _close(self) -> dict[str, frozenset[str]]:
         succ: dict[str, set[str]] = {a: set() for a in self.atoms}
@@ -234,6 +272,9 @@ class CompoundType:
 
     def __len__(self):
         return len(self.parts)
+
+    def __hash__(self):  # the parts' hash, without the dataclass' 1-tuple: types key caches
+        return hash(self.parts)
 
     def __iter__(self) -> Iterator[SimpleType]:
         return iter(self.parts)

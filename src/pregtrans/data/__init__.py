@@ -13,8 +13,11 @@ FUNCTOR_REGISTRY = {
 }
 
 
+_ROOT = Path(str(resources.files(__package__)))  # resolved once, not on every lookup
+
+
 def data_path(*parts: str) -> Path:
-    path = Path(str(resources.files(__package__))).joinpath(*parts)
+    path = _ROOT.joinpath(*parts)
     if not path.exists():
         raise FileNotFoundError(f"no bundled data file {'/'.join(parts)!r}")
     return path

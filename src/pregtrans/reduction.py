@@ -15,8 +15,15 @@ states that succeed: the first witness one state at a time, all of them
 depth first over each state's ways.  :func:`type_selections` walks the
 tokens with more than one type left to right on a stack, building one
 search per alternative it tries, and yields the selections in
-``itertools.product`` order.  Induced order steps (s1 -> s, n -> pi) are
-folded into the contraction and residue checks.  One linear bracket scan,
+``itertools.product`` order.  It first checks the count: a contraction or
+an induced step keeps, per order class and beta tag, the sum of
+(-1)^exponent, so only the alternatives that leave the selection's count
+code (``AtomTable.counts``) equal to the target's are tried, and a
+sentence whose count cannot balance builds no search.  The sets of codes
+the later tokens can add hold at most as many entries as the lattice has
+simple types, so the check costs O(A N) for A alternatives.  Induced
+order steps (s1 -> s, n -> pi) are folded into the contraction and
+residue checks.  One linear bracket scan,
 :meth:`ReductionWitness.partners`, checks a witness for
 :func:`render_diagram` and for ``semantics.interpret``, which rejects a
 witness that is not a planar reduction.
@@ -263,41 +270,77 @@ class SpanSearch:
 def type_selections(alternatives, target: CompoundType, table: AtomTable):
     """Yield ``(selection, search)`` for every choice of one type per token
     that reduces to ``target``, in ``itertools.product`` order; ``search``
-    is the selection's flat :class:`SpanSearch`.  One walk fixes the tokens
-    with more than one type left to right.  It keeps an alternative when one
-    search, over the types fixed so far and the later tokens' alternatives,
-    reduces; after the last such token that search is flat, and is the one
-    yielded.  Where a selection is known to exist and no earlier alternative
-    was kept, the last alternative is kept unchecked."""
+    is the selection's flat :class:`SpanSearch`.
+
+    First the count check: a selection reduces only if its count code
+    (``AtomTable.counts``) equals the target's.  Each alternative's code is
+    looked up once, and for each token with more than one type after the
+    first such token, the set of codes it and the later such tokens can add;
+    a set never holds more entries than the lattice has simple types, and
+    the tokens before the first set past that bound are not pruned, so this
+    costs O(A N) for A alternatives and N simple types.  Then one walk fixes
+    the tokens with more than one type left to right, trying only the
+    alternatives whose code leaves a code the later tokens can add: a
+    sentence whose code cannot balance builds no search.  The walk keeps an
+    alternative when one search, over the types fixed so far and the later
+    tokens' alternatives, reduces; after the last such token that search is
+    flat, and is the one yielded.  An alternative is kept unchecked when the
+    count allows no other at its token, or when a selection is known to
+    exist, no earlier alternative was kept and the count allows no later
+    one."""
     if not all(alternatives):  # a token with no type: no selection
         return
+    counts = table.counts
     chosen = [alts[0] for alts in alternatives]
-    ambiguous = [t for t, alts in enumerate(alternatives) if len(alts) > 1]
+    ambiguous, codes = [], []  # codes[d]: the codes of token ambiguous[d]'s alternatives
+    need = sum(map(counts.__getitem__, target.parts))  # the code the ambiguous tokens must add
+    for t, alts in enumerate(alternatives):
+        if len(alts) == 1:
+            need -= counts[alts[0]]
+        else:
+            ambiguous.append(t)
+            codes.append([counts[x] for x in alts])
+    # reach[d]: the codes tokens ambiguous[d:] can add, or None: not pruned
+    reach = [None] * len(ambiguous) + [{0}]
+    size = 0  # the lattice's simple types, counted when first needed
+    for d in range(len(ambiguous) - 1, 0, -1):
+        sums = {c + r for c in codes[d] for r in reach[d + 1]}
+        size = size or sum(len(flatten(x).parts) for alts in alternatives for x in alts)
+        if len(sums) > size:
+            break
+        reach[d] = sums
 
     def search(t):  # chosen fixed up to token t, the later tokens left open
         fixed = [(x,) for x in chosen[:t + 1]] + list(alternatives[t + 1:])
         return SpanSearch(fixed, target, table)
 
-    # a stack of steps (d, a, known, found): try alternative a at token
-    # ambiguous[d], or, past the last such token, yield chosen if found
-    # (else its flat search) reduces.  known: a selection extends chosen
-    # and no alternative is kept yet at depth d, so the last is kept unchecked
-    todo = [(0, 0, False, None)]
+    # a stack of steps (d, i, known, found, rest): try the i-th alternative
+    # the count allows at token ambiguous[d], where the tokens ambiguous[d:]
+    # must add the code rest, or, past the last such token, yield chosen if
+    # found (else its flat search) reduces.  known: a selection extends
+    # chosen and no alternative is kept yet at depth d
+    todo = [(0, 0, False, None, need)]
     while todo:
-        d, a, known, found = todo.pop()
+        d, i, known, found, rest = todo.pop()
         if d == len(ambiguous):
-            found = found or search(len(chosen) - 1)
-            if found.reduces():
-                yield tuple(chosen), found
+            if not rest:  # else no token has more than one type, and the code is off
+                found = found or search(len(chosen) - 1)
+                if found.reduces():
+                    yield tuple(chosen), found
             continue
-        t = ambiguous[d]
+        later = reach[d + 1]
+        options = [a for a, c in enumerate(codes[d]) if later is None or rest - c in later]
+        if not options:
+            continue
+        t, a = ambiguous[d], options[i]
         chosen[t] = alternatives[t][a]
-        found = None if known and a == len(alternatives[t]) - 1 else search(t)
+        last = i == len(options) - 1
+        found = None if last and (known or i == 0) else search(t)
         kept = found is None or found.reduces()
-        if a + 1 < len(alternatives[t]):
-            todo.append((d, a + 1, known and not kept, None))
+        if not last:
+            todo.append((d, i + 1, known and not kept, None, rest))
         if kept:
-            todo.append((d + 1, 0, True, found))
+            todo.append((d + 1, 0, known or found is not None, found, rest - codes[d][a]))
 
 
 def enumerate_reductions(

@@ -124,6 +124,14 @@ def test_parse_unknown_word_exits_1(runner):
     assert r.exit_code == 1
 
 
+def test_parse_batch_goes_on_past_an_unknown_word(runner):
+    r = runner.invoke(main, ["parse", "--lex", "en", "--target", "n", "--format", "json"],
+                      input="old teachers\nqqq\nold\nold teachers\n")
+    assert r.exit_code == 1  # an unknown word outranks a line that does not reduce
+    assert [json.loads(line)["reducible"] for line in r.stdout.splitlines()] == [True, False, True]
+    assert r.stderr == "Error: unknown word 'qqq'\n"
+
+
 def test_parse_dot_output_deterministic(runner):
     args = ["parse", "pigeons eat bread", "--lex", "en", "--format", "dot"]
     a = runner.invoke(main, args)

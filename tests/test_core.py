@@ -55,6 +55,25 @@ def test_unknown_atom_rejected():
         parse_type("q", TABLE)
 
 
+def test_count_digits_follow_order_classes_tags_and_parity():
+    digit = TABLE.counts
+    assert digit[SimpleType("s1")] == digit[SimpleType("sbar", 2)] == digit[SimpleType("s")]
+    assert digit[SimpleType("n", 1)] == digit[SimpleType("pi", -1)] == -digit[SimpleType("pi")]
+    assert len({digit[SimpleType(a, 0, beta)] for a in ("n", "s") for beta in (False, True)}) == 4
+    code = digit[SimpleType("s")] - digit[SimpleType("n", 0, True)]
+    assert TABLE.counts[T("n pi^r s b(n)^l")] == code
+    with pytest.raises(UnknownAtomError):
+        TABLE.counts[SimpleType("q")]
+
+
+@given(compounds, compounds)
+def test_contraction_keeps_the_count(prefix, suffix):
+    for x in prefix.parts[-1:]:
+        for y in TABLE.partners[x]:
+            assert TABLE.counts[prefix + CompoundType((y,)) + suffix] == TABLE.counts[
+                prefix[:-1] + suffix]
+
+
 # ---- adjoints ------------------------------------------------------------
 
 def test_left_adjoint_example():

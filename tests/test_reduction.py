@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pregtrans import data
+from pregtrans import data, reduction
 from pregtrans.checks import OracleSizeError, oracle_reduce, oracle_selections
 from pregtrans.core import AtomTable, CompoundType, SimpleType, parse_type
 from pregtrans.lexicon import load_lexicon
@@ -319,11 +319,19 @@ def test_render_dot_deterministic():
 
 # ---- type selections over word type alternatives -----------------------------
 
+# beta tags, iterated adjoints and goals with either, over two order
+# classes ({a, b} and {c}), so that a count code that splits an order
+# class or drops the sign at odd exponents prunes a selection that reduces
 alternative = st.lists(
-    st.builds(SimpleType, st.sampled_from("abcd"), st.integers(-1, 1)), max_size=3
+    st.builds(SimpleType, st.sampled_from("abc"), st.integers(-2, 2), st.booleans()), max_size=3
 ).map(lambda parts: CompoundType(tuple(parts)))
 lattices = st.lists(st.lists(alternative, min_size=0, max_size=3, unique=True), max_size=4)
-goals = st.sampled_from([CompoundType(), CompoundType((SimpleType("b"),))])
+goals = st.sampled_from([
+    CompoundType(),
+    CompoundType((SimpleType("b"),)),
+    CompoundType((SimpleType("b", 0, True),)),
+    CompoundType((SimpleType("a", -1), SimpleType("b", 0, True))),
+])
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,3 +354,57 @@ def test_lattice_search_decides_like_the_product_loop(alternatives, goal):
     # flat search of a selection, is checked against the oracle
     found = SpanSearch(alternatives, goal, TABLE).reduces()
     assert found == bool(oracle_selections(alternatives, goal, TABLE))
+
+
+# ---- the count check -----------------------------------------------------------
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The token lists of every SpanSearch that type_selections builds."""
+    built = []
+
+    class Counted(SpanSearch):
+        def __init__(self, alternatives, target, table):
+            built.append(alternatives)
+            super().__init__(alternatives, target, table)
+
+    monkeypatch.setattr(reduction, "SpanSearch", Counted)
+    return built
+
+
+def selections(lex, sentence, target="s"):
+    alternatives = [lex.alternatives(word) for word in sentence.split()]
+    return list(type_selections(alternatives, parse_type(target, lex.table), lex.table))
+
+
+@pytest.mark.parametrize("lex, sentence", [
+    ("en", "pigeons eat bread and bread and bread eat"),  # a final n^l: n sums to -1
+    ("ja", "neko ni tuita ga neko ni tuita ga hon wo kaita ga"),  # ends in ga
+    ("ja", "neko ga wo taberu"),  # o2 sums to -1
+])
+def test_sentence_whose_count_cannot_balance_builds_no_search(searches, lex, sentence):
+    assert selections(load_lexicon(data.lexicon_path(lex)), sentence) == []
+    assert searches == []
+
+
+def test_count_keeps_beta_tags_apart(searches):
+    # in b(n) n^r s the n class sums to 0 over both tags, but to 1 and -1 per tag
+    alternatives = [[parse_type("b(n)", NS), parse_type("s n^l", NS)], [parse_type("n^r s", NS)]]
+    assert list(type_selections(alternatives, parse_type("s", NS), NS)) == []
+    assert searches == []
+
+
+def test_count_preserving_sentence_that_does_not_reduce_is_searched(searches):
+    # swapped words keep the count, so only a search refuses them
+    en = load_lexicon(data.lexicon_path("en"))
+    assert selections(en, "eat pigeons bread") == []
+    assert len(searches) == 1
+
+
+def test_mixed_ambiguity_stress_sentence_is_refused_quickly():
+    # 80 tokens with two or three types: unbounded, the sets of codes the
+    # later tokens can add grow to 194481 entries
+    ja = load_lexicon(data.lexicon_path("ja"))
+    start = time.perf_counter()
+    assert selections(ja, "neko ga neko no neko ni untensita " * 20) == []
+    assert time.perf_counter() - start < 1.0
