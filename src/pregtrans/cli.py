@@ -183,7 +183,11 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
             )
         except (NotTranslatableError, UnknownWordError) as exc:
             click.echo(f"not translatable: {exc}")
-            exit_code = EXIT_LINGUISTIC
+            exit_code = exit_code or EXIT_LINGUISTIC
+            continue
+        except PregroupError as exc:  # an error for this line; the batch goes on
+            click.echo(f"Error: {exc}", err=True)
+            exit_code = EXIT_CONFIG
             continue
         if fmt == "json":
             click.echo(
@@ -210,7 +214,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
                 click.echo(result.diagnostic)
             click.echo(f"translation:     {result.text}")
         if result.target_witness is None:
-            exit_code = EXIT_LINGUISTIC
+            exit_code = exit_code or EXIT_LINGUISTIC
     sys.exit(exit_code)
 
 

@@ -200,8 +200,7 @@ class Lexicon:
         self.entries = dict(entries)
         self.metarules = list(metarules)
         self.empty_words = tuple(empty_words)
-        self._types: dict[str, frozenset[CompoundType]] = {}  # see types_of()
-        self._alternatives: dict[str, tuple[CompoundType, ...]] = {}
+        self._alternatives: dict[str, tuple[CompoundType, ...]] = {}  # see alternatives()
         self._aliases = {}
         for entry in self.entries.values():
             for alias in entry.aliases:
@@ -213,19 +212,16 @@ class Lexicon:
         return self._aliases.get(token)
 
     def types_of(self, word: str) -> frozenset[CompoundType]:
-        """The word's types closed under the metarules (bounded depth),
-        computed on first use and kept: a lexicon does not change."""
-        found = self._types.get(word)
-        if found is None:
-            found = self._types[word] = self._close(word)
-        return found
+        """The word's types closed under the metarules (bounded depth)."""
+        return frozenset(self.alternatives(word))
 
     def alternatives(self, word: str) -> tuple[CompoundType, ...]:
-        """The word's types in rendered order, the order in which type
-        selections try them; kept like :meth:`types_of`."""
+        """The word's types (see :meth:`types_of`) in rendered order, the
+        order in which type selections try them, computed on first use and
+        kept: a lexicon does not change."""
         found = self._alternatives.get(word)
         if found is None:
-            found = self._alternatives[word] = tuple(sorted(self.types_of(word), key=render_type))
+            found = self._alternatives[word] = tuple(sorted(self._close(word), key=render_type))
         return found
 
     def _close(self, word: str) -> frozenset[CompoundType]:

@@ -9,16 +9,17 @@ it in one pass from the end node back to the start.  Each node gets two
 bit sets: the nodes it reaches over a path that reduces to the unit (a
 span), and the suffixes of the target that a path from it to the end
 reduces to.  For N simple types that is O(N^2) Python steps over N-bit
-sets, with no recursion, so no length limit.  Witnesses are read off the
-bit sets with explicit stacks, in a fixed search order that enters only
-states that succeed: the first witness one state at a time, all of them
-depth first over each state's ways.  :func:`type_selections` walks the
-tokens with more than one type left to right on a stack, building one
-search per alternative it tries, and yields the selections in
-``itertools.product`` order.  It first checks the count: a contraction or
-an induced step keeps, per order class and beta tag, the sum of
-(-1)^exponent, so only the alternatives that leave the selection's count
-code (``AtomTable.counts``) equal to the target's are tried, and a
+sets, with no recursion, so no length limit.  A lattice search only
+decides; witnesses are read off a flat search's bit sets with explicit
+stacks, in a fixed search order that enters only states that succeed: the
+first witness one state at a time, all of them depth first over each
+state's ways.  :func:`type_selections` walks the tokens with more than
+one type left to right on a stack, deciding one lattice search per
+alternative it tries, and yields the selections, each with its flat
+search, in ``itertools.product`` order.  It first checks the count: a
+contraction or an induced step keeps, per order class and beta tag, the
+sum of (-1)^exponent, so only the alternatives that leave the selection's
+count code (``AtomTable.counts``) equal to the target's are tried, and a
 sentence whose count cannot balance builds no search.  The sets of codes
 the later tokens can add hold at most as many entries as the lattice has
 simple types, so the check costs O(A N) for A alternatives.  Induced
@@ -90,7 +91,8 @@ class ReductionWitness(NamedTuple):
 
 class SpanSearch:
     """Reduction search over a lattice of type alternatives, decided in one
-    backward pass over bit sets.
+    backward pass over bit sets; witnesses are read only off a flat search,
+    one with one alternative per token, so no empty edges.
 
     ``alternatives`` holds one sequence of types per token.  Position p is
     the simple type ``parts[p]`` on the edge from node p to node ``dst[p]``;
@@ -166,10 +168,10 @@ class SpanSearch:
         return bool(self.goals[0] & 1)
 
     def _ways(self, u: int, t: int, v: int):
-        # the ways state (u, t, v) succeeds, in search order, each a move
-        # and the states it leaves that do not take the empty path, inner
-        # span first: (u, -1) keeps u as residue, (u, k) links u to k, None
-        # takes the empty path or an empty edge
+        # the ways state (u, t, v) of a flat search succeeds, in search
+        # order, each a move and the states it leaves that do not take the
+        # empty path, inner span first: (u, -1) keeps u as residue, (u, k)
+        # links u to k, None takes the empty path
         m, parts, dst = self.m, self.parts, self.dst
         spans, goals = self.spans, self.goals
         if t == m and u == v:
@@ -190,9 +192,6 @@ class SpanSearch:
             ends &= ends - 1
             if parts[k] in ys and rests[dst[k]] >> bit & 1:
                 yield (u, k), left((d, m, k), (dst[k], t, v))
-        for w in self.eps.get(u, ()):
-            if rests[w] >> bit & 1:
-                yield None, left((w, t, v))
 
     def _first(self) -> ReductionWitness:
         # each state's first way in _ways' order, off a stack of states; a
@@ -221,8 +220,8 @@ class SpanSearch:
                         todo.append((dst[k], t, v))
                         u, t, v = d, m, k
                         break
-                else:
-                    u = next(w for w in self.eps[u] if rests[w] >> bit & 1)
+                else:  # a state of a flat search that succeeds has a way
+                    raise AssertionError(f"state {(u, t, v)} succeeds by no way")
         return ReductionWitness(tuple(links), tuple(residue))
 
     def witnesses(self, limit: int = DEFAULT_LIMIT) -> list[ReductionWitness]:
@@ -233,6 +232,8 @@ class SpanSearch:
         read inner span first, so links come out in order of left end."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
+        if self.eps:
+            raise ValueError("witnesses are read only off a flat search, one type per token")
         if not self.reduces():
             return []
         if limit == 1:
@@ -283,17 +284,16 @@ def type_selections(alternatives, target: CompoundType, table: AtomTable):
     alternatives whose code leaves a code the later tokens can add: a
     sentence whose code cannot balance builds no search.  The walk keeps an
     alternative when one search, over the types fixed so far and the later
-    tokens' alternatives, reduces; after the last such token that search is
-    flat, and is the one yielded.  An alternative is kept unchecked when the
-    count allows no other at its token, or when a selection is known to
-    exist, no earlier alternative was kept and the count allows no later
-    one."""
+    tokens' alternatives, reduces; that lattice search only decides, and
+    after the last such token it is flat, and is the one yielded.  An
+    alternative is kept unchecked when the count allows no other at its
+    token."""
     if not all(alternatives):  # a token with no type: no selection
         return
     counts = table.counts
     chosen = [alts[0] for alts in alternatives]
     ambiguous, codes = [], []  # codes[d]: the codes of token ambiguous[d]'s alternatives
-    need = sum(map(counts.__getitem__, target.parts))  # the code the ambiguous tokens must add
+    need = counts[target]  # less the unambiguous tokens': the code the others must add
     for t, alts in enumerate(alternatives):
         if len(alts) == 1:
             need -= counts[alts[0]]
@@ -314,14 +314,13 @@ def type_selections(alternatives, target: CompoundType, table: AtomTable):
         fixed = [(x,) for x in chosen[:t + 1]] + list(alternatives[t + 1:])
         return SpanSearch(fixed, target, table)
 
-    # a stack of steps (d, i, known, found, rest): try the i-th alternative
-    # the count allows at token ambiguous[d], where the tokens ambiguous[d:]
-    # must add the code rest, or, past the last such token, yield chosen if
-    # found (else its flat search) reduces.  known: a selection extends
-    # chosen and no alternative is kept yet at depth d
-    todo = [(0, 0, False, None, need)]
+    # a stack of steps (d, i, found, rest): try the i-th alternative the
+    # count allows at token ambiguous[d], where the tokens ambiguous[d:] must
+    # add the code rest, or, past the last such token, yield chosen if found
+    # (else its flat search) reduces
+    todo = [(0, 0, None, need)]
     while todo:
-        d, i, known, found, rest = todo.pop()
+        d, i, found, rest = todo.pop()
         if d == len(ambiguous):
             if not rest:  # else no token has more than one type, and the code is off
                 found = found or search(len(chosen) - 1)
@@ -334,13 +333,11 @@ def type_selections(alternatives, target: CompoundType, table: AtomTable):
             continue
         t, a = ambiguous[d], options[i]
         chosen[t] = alternatives[t][a]
-        last = i == len(options) - 1
-        found = None if last and (known or i == 0) else search(t)
-        kept = found is None or found.reduces()
-        if not last:
-            todo.append((d, i + 1, known and not kept, None, rest))
-        if kept:
-            todo.append((d + 1, 0, known or found is not None, found, rest - codes[d][a]))
+        found = None if len(options) == 1 else search(t)
+        if i + 1 < len(options):
+            todo.append((d, i + 1, None, rest))
+        if found is None or found.reduces():
+            todo.append((d + 1, 0, found, rest - codes[d][a]))
 
 
 def enumerate_reductions(
@@ -371,8 +368,6 @@ def render_diagram(input: Type, w: ReductionWitness, format: str = "text") -> st
 
 
 def _render_text(parts, w: ReductionWitness, partner: list[int]) -> str:
-    if not parts:
-        return ""
     tokens = [p.render() for p in parts]
     cols = []
     offset = 0

@@ -184,6 +184,19 @@ def test_translate_untranslatable_exits_2(runner):
     assert "not translatable" in r.output
 
 
+def test_translate_batch_goes_on_past_a_bad_line(runner):
+    lines = ["mori ni neko ga iru", "hon ni neko ga iru", "| mori ni neko ga iru",
+             "mori neko", "mori ni neko ga iru"]
+    r = runner.invoke(main, ["translate", "--functor", "jp-en-anti", "--format", "json"],
+                      input="\n".join(lines) + "\n")
+    assert r.exit_code == 1  # a bad line outranks one that is not translatable
+    out = r.stdout.splitlines()
+    assert [json.loads(out[i])["sentence"] for i in (0, 2)] == [lines[0], lines[4]]
+    assert out[1].startswith("not translatable: ")
+    assert r.stderr == ("Error: word map has no entry for 'hon'\n"
+                        "Error: bracing [0] does not partition 5 tokens\n")
+
+
 def test_translate_mask_mismatch_exits_1_before_the_search(runner):
     # the sentence does not reduce, but psi's two-segment mask fails first
     r = runner.invoke(main, ["translate", "issya ga ga tegami", "--functor", "psi"])

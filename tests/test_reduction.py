@@ -105,6 +105,22 @@ def test_limit_keeps_the_first_witnesses_in_search_order():
         assert some == sorted(some)
 
 
+def test_witnesses_need_a_limit_of_at_least_one():
+    search = SpanSearch([(parse_type("n n^r s", NS),)], parse_type("s", NS), NS)
+    with pytest.raises(ValueError, match=r"^limit must be >= 1$"):
+        search.witnesses(0)
+
+
+def test_witnesses_are_read_only_off_a_flat_search():
+    # a lattice search decides, but has no witnesses to read
+    alternatives = [[parse_type("n", NS), parse_type("s", NS)], [parse_type("n^r s", NS)]]
+    search = SpanSearch(alternatives, parse_type("s", NS), NS)
+    assert search.reduces()
+    with pytest.raises(ValueError, match=r"^witnesses are read only off a flat search, "
+                                         r"one type per token$"):
+        search.witnesses()
+
+
 def test_long_chain_reduces():
     t = parse_type("n n^l " * 3000 + "n", NS)
     w = reduce(t, parse_type("n", NS), NS)
@@ -265,6 +281,17 @@ def test_render_text_diagram():
     t = parse_type("n n^r s n^l n", NS)
     w = reduce(t, parse_type("s", NS), NS)
     assert render_diagram(t, w) == "n n^r s n^l n\n|__|  |  |__|\n      |"
+
+
+def test_render_text_of_the_empty_type_is_empty():
+    assert render_diagram(CompoundType(), ReductionWitness((), ())) == ""
+
+
+def test_render_rejects_an_unknown_format():
+    t = parse_type("n n^r s", NS)
+    w = reduce(t, parse_type("s", NS), NS)
+    with pytest.raises(ValueError, match=r"^unknown format 'svg'$"):
+        render_diagram(t, w, format="svg")
 
 
 def test_render_text_nested_links():

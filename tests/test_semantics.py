@@ -120,6 +120,12 @@ def test_word_tensor_shape_checked():
     assert wt.data.shape == (2, 2)
 
 
+def test_word_tensor_rejects_non_finite_entries():
+    sp = SpaceAssignment.make({"n": 2})
+    with pytest.raises(SemanticsError, match=r"^'w': tensor has non-finite entries$"):
+        make_word_tensor("w", parse_type("n", AtomTable({"n"})), [np.nan, 1.0], sp)
+
+
 def test_load_tensor_fixtures():
     for name in ["pigeons", "adj_noun", "mori", "xi"]:
         spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
@@ -315,6 +321,13 @@ def test_interpret_rejects_witnesses_that_are_not_planar_reductions(links, resid
         interpret(ReductionWitness(frozenset(links), residue), tensors, spaces)
 
 
+def test_interpret_rejects_a_tensor_whose_shape_disagrees_with_the_spaces():
+    # built directly, the word tensor skips make_word_tensor's shape check
+    wt = semantics.WordTensor("w", parse_type("s", EN), np.ones(2))
+    with pytest.raises(SemanticsError, match=r"^'w': tensor shape mismatch$"):
+        interpret(ReductionWitness((), (0,)), [wt], SpaceAssignment.make({"s": 3}))
+
+
 def test_interpret_of_no_words_is_the_scalar_one():
     v = interpret(ReductionWitness((), ()), [], SpaceAssignment.make({"n": 2}))
     assert v.shape == () and v == 1.0
@@ -423,6 +436,13 @@ def test_apply_alpha_word_override():
         apply_alpha(alpha, src, parse_type("n", EN), reverse=False)
 
 
+def test_apply_alpha_rejects_an_image_type_of_another_length():
+    src = make_word_tensor("w", parse_type("n", EN), [1.0, 0.0], SpaceAssignment.make({"n": 2}))
+    alpha = AlphaSpec.make({"n": np.eye(2)})
+    with pytest.raises(SemanticsError, match=r"^'w': image type length 2 != 1$"):
+        apply_alpha(alpha, src, parse_type("n n^l", EN), reverse=False)
+
+
 def test_apply_alpha_rejects_a_component_of_the_wrong_size():
     spaces = SpaceAssignment.make({"n": 2})
     src = make_word_tensor("w", parse_type("n", EN), [1.0, 0.0], spaces)
@@ -442,6 +462,17 @@ def test_naturality_homomorphism_square():
     alpha = AlphaSpec.make({"n": np.eye(3) + 0.2 * lcg_array(1, (3, 3))})
     report = check_naturality(alpha, w, tensors, hom, w, 1e-9)
     assert report.ok, report.max_residual
+
+
+def test_naturality_rejects_witnesses_that_do_not_correspond():
+    spaces, tensors = load_tensor_fixture(bundled.tensor_path("adj_noun"))
+    table = AtomTable(dict(spaces.dims).keys())
+    w = reduce(flat_type(tensors), parse_type("n", table), table)
+    hom = FunctorSpec("ja", "en", "homomorphism", IDENTITY_MAP, EN)
+    alpha = AlphaSpec.make({"n": np.eye(3)})
+    other = ReductionWitness((), tuple(range(len(flat_type(tensors)))))
+    with pytest.raises(SemanticsError, match=r"^source and target witnesses do not correspond$"):
+        check_naturality(alpha, w, tensors, hom, other, 1e-9)
 
 
 def test_naturality_antihomomorphism_square():

@@ -128,3 +128,38 @@ def test_unused_private_member_is_found():
         "        return _helper\n"
     )
     assert unused_private_members(source) == ["line 2: C._unused", "line 6: C._helper"]
+
+
+def self_calls(source: str) -> list[str]:
+    """Functions and methods that call themselves by name: ``f(...)``, or
+    ``x.f(...)`` in a method ``f``."""
+    tree = ast.parse(source)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call) and fn.name in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None)
+            ):
+                found.append(f"line {call.lineno}: {fn.name}")
+    return found
+
+
+def test_reduction_does_not_recurse():
+    # the search keeps explicit stacks, so no input length hits the recursion limit
+    assert self_calls((PACKAGE / "reduction.py").read_text(encoding="utf-8")) == []
+
+
+def test_self_call_is_found():
+    source = (
+        "def f(n):\n"
+        "    return f(n - 1) if n else g(n)\n"
+        "class C:\n"
+        "    def walk(self, node):\n"
+        "        for child in node:\n"
+        "            self.walk(child)\n"
+        "    def other(self):\n"
+        "        return self.walk([])\n"
+    )
+    assert self_calls(source) == ["line 2: f", "line 6: walk"]
