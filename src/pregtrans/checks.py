@@ -183,15 +183,19 @@ def oracle_selections(alternatives, target: CompoundType, table: AtomTable) -> l
     return found
 
 
+_ORACLE_GOALS = tuple(parse_type(text, _TABLE) for text in ("", "b", "b b^l", "a^l b"))
+
+
 def oracle_failures(max_len: int, count: int) -> list[str]:
     """Random tokens of one to three alternative types, at most ``max_len``
-    simple types per selection and 27 selections per sentence: the search
-    must pick the same selections, in order, with the same witnesses as
-    the brute-force oracle."""
+    simple types per selection and 27 selections per sentence, each with a
+    target drawn from :data:`_ORACLE_GOALS`: the search must pick the same
+    selections, in order, with the same witnesses as the brute-force
+    oracle."""
     rng = random.Random(42)
     failures = []
-    goal = CompoundType((SimpleType("b"),))
     for _ in range(count):
+        goal = rng.choice(_ORACLE_GOALS)
         alternatives, room, selections = [], rng.randint(0, max_len), 1
         while room > 0:
             size = rng.randint(1, min(room, 3))
@@ -208,5 +212,5 @@ def oracle_failures(max_len: int, count: int) -> list[str]:
         slow = oracle_selections(alternatives, goal, _TABLE)
         if fast != slow:
             shown = " ".join("{" + " | ".join(map(render_type, a)) + "}" for a in alternatives)
-            failures.append(f"mismatch on {shown}")
+            failures.append(f"mismatch on {shown} to {render_type(goal)!r}")
     return failures

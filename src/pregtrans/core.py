@@ -115,26 +115,23 @@ def _valid_atom_name(name: str) -> bool:
 
 
 class _Index(dict):
-    """simple type -> frozenset of simple types, filled on first lookup: the
-    same atom and beta tag, the exponent raised by ``step``, and the atoms
-    above or below in the order ``up`` (atom -> atoms above it), as the
-    exponent's parity says."""
+    """simple type -> frozenset of its contraction partners, filled on first
+    lookup: the same beta tag, the exponent raised by one, and the atoms
+    above (even exponent) or below (odd exponent) in the order ``up`` (atom
+    -> atoms above it)."""
 
-    __slots__ = ("up", "step")
+    __slots__ = ("up",)
 
-    def __init__(self, up, step):
+    def __init__(self, up):
         super().__init__()
-        self.up, self.step = up, step
+        self.up = up
 
     def __missing__(self, x):
         up, z = self.up, x.exponent
         if x.atom not in up:
             raise UnknownAtomError(x.atom)
-        if (z % 2 == 0) == (self.step == 1):
-            atoms = up[x.atom]
-        else:
-            atoms = [a for a in up if x.atom in up[a]]
-        found = self[x] = frozenset(SimpleType(a, z + self.step, x.beta) for a in atoms)
+        atoms = up[x.atom] if z % 2 == 0 else [a for a in up if x.atom in up[a]]
+        found = self[x] = frozenset(SimpleType(a, z + 1, x.beta) for a in atoms)
         return found
 
 
@@ -197,10 +194,9 @@ class AtomTable:
                 if name not in self.atoms:
                     raise UnknownAtomError(name)
         self._up = self._close()
-        # partners[x]: every y with contracts(x, y); below[y]: every x with
-        # simple_leq(x, y); counts[x]: x's count digit, or code for a type;
-        # all filled on first use
-        self.partners, self.below = _Index(self._up, 1), _Index(self._up, 0)
+        # partners[x]: every y with contracts(x, y); counts[x]: x's count
+        # digit, or code for a type; both filled on first use
+        self.partners = _Index(self._up)
         self.counts = _Counts(self._up)
 
     def _close(self) -> dict[str, frozenset[str]]:
@@ -339,8 +335,9 @@ def right_adjoint(t: CompoundType) -> CompoundType:
 
 def simple_leq(x: SimpleType, y: SimpleType, table: AtomTable) -> bool:
     """Order between simple types: equal exponent and tag, with the atom
-    order flipped at odd exponents (if x <= y then y^l <= x^l)."""
-    return x in table.below[y]
+    order flipped at odd exponents (if x <= y then y^l <= x^l); x <= y
+    exactly when x y^r -> 1."""
+    return y.right in table.partners[x]
 
 
 def contracts(x: SimpleType, y: SimpleType, table: AtomTable) -> bool:

@@ -4,30 +4,19 @@ A witness is a non-crossing, well-nested tuple of contraction links in
 order of left end plus the ordered residue of unlinked positions.  The
 input is a lattice: tokens with one or more alternative types each, whose
 simple types are the edges of a DAG whose paths spell the type selections;
-a flat type has one alternative per token.  :class:`SpanSearch` decides
-it in one pass from the end node back to the start.  Each node gets two
-bit sets: the nodes it reaches over a path that reduces to the unit (a
-span), and the suffixes of the target that a path from it to the end
-reduces to.  For N simple types that is O(N^2) Python steps over N-bit
-sets, with no recursion, so no length limit.  A lattice search only
-decides; witnesses are read off a flat search's bit sets with explicit
-stacks, in a fixed search order that enters only states that succeed: the
-first witness one state at a time, all of them depth first over each
-state's ways.  :func:`type_selections` walks the tokens with more than
-one type left to right on a stack, deciding one lattice search per
-alternative it tries, and yields the selections, each with its flat
-search, in ``itertools.product`` order.  It first checks the count: a
-contraction or an induced step keeps, per order class and beta tag, the
-sum of (-1)^exponent, so only the alternatives that leave the selection's
-count code (``AtomTable.counts``) equal to the target's are tried, and a
-sentence whose count cannot balance builds no search.  The sets of codes
-the later tokens can add hold at most as many entries as the lattice has
-simple types, so the check costs O(A N) for A alternatives.  Induced
-order steps (s1 -> s, n -> pi) are folded into the contraction and
-residue checks.  One linear bracket scan,
-:meth:`ReductionWitness.partners`, checks a witness for
-:func:`render_diagram` and for ``semantics.interpret``, which rejects a
-witness that is not a planar reduction.
+a flat type has one alternative per token.  A type reduces to a target
+exactly when it, followed by the target's right adjoint (the goal tail),
+reduces to the unit, so :class:`SpanSearch` appends the goal tail and
+fills one bit set per node in one pass from the end back to the start: the
+nodes it reaches over a path that reduces to the unit.  For N simple types
+that is O(N^2) Python steps over N-bit sets, with no recursion.  A lattice
+search only decides; witnesses are read off a flat search with explicit
+stacks.  :func:`type_selections` decides which selections reduce, after a
+count check that refuses the alternatives whose count code
+(``AtomTable.counts``) cannot balance against the target's.  Induced order
+steps (s1 -> s, n -> pi) are folded into the contraction partners.  One
+linear bracket scan, :meth:`ReductionWitness.partners`, checks a witness
+for :func:`render_diagram` and for ``semantics.interpret``.
 """
 
 from __future__ import annotations
@@ -41,6 +30,7 @@ from .core import (
     PregroupError,
     Type,
     flatten,
+    right_adjoint,
 )
 
 DEFAULT_LIMIT = 1024
@@ -91,34 +81,33 @@ class ReductionWitness(NamedTuple):
 
 class SpanSearch:
     """Reduction search over a lattice of type alternatives, decided in one
-    backward pass over bit sets; witnesses are read only off a flat search,
-    one with one alternative per token, so no empty edges.
+    backward pass over one bit set per node; witnesses are read only off a
+    flat search, one with one alternative per token, so no empty edges.
 
-    ``alternatives`` holds one sequence of types per token.  Position p is
-    the simple type ``parts[p]`` on the edge from node p to node ``dst[p]``;
-    node 0 is the start and ``end`` the end.  A token starts at the node of
-    its first alternative's first position, and empty edges (``eps``) lead
-    from there to its other alternatives and, if one is empty, to its end.
-    Edges point forward, and with one alternative per token position p is
-    the p-th simple type of the concatenation.  A state (u, t, v) asks
-    whether a path from node u to node v reduces to ``goal[t:]``; with t =
-    len(goal) that is the unit, and with a shorter t v is ``end``.  From
-    ``end`` back to node 0 the pass fills ``spans[u]``, whose bit v (v <
-    end) is set when a path u -> v reduces to the unit, and ``goals[u]``,
-    whose bit t is set when a path u -> end reduces to ``goal[t:]``.  Every
-    state's answer is then one bit test, and the right ends a link from
+    ``alternatives`` holds one sequence of types per token, and the goal
+    tail, the target's right adjoint, follows as one more token.  Position p
+    is the simple type ``parts[p]`` on the edge from node p to node
+    ``dst[p]``; node 0 is the start, ``tail`` the goal tail's first position
+    and ``end`` the end.  A token starts at the node of its first
+    alternative's first position, and empty edges (``eps``) lead from there
+    to its other alternatives and, if one is empty, to its end.  A state
+    (u, v) asks whether a path from node u to node v reduces to the unit;
+    goal tail positions start no link, so the input reduces to the target
+    when (0, end) does, and an input position linked into the goal tail is
+    residue.  From ``end`` back to node 0 the pass fills ``spans[u]``, whose
+    bit v is set when state (u, v) succeeds, so the right ends a link from
     position p can take are the set bits of ``spans[dst[p]]`` that hold a
     partner of ``parts[p]``.
     """
 
     def __init__(self, alternatives, target: CompoundType, table: AtomTable):
         self.table = table
-        self.m = len(target)
-        self.below = [table.below[g] for g in target.parts] + [()]
-        self._layout([[flatten(a).parts for a in alts] for alts in alternatives])
+        tokens = [[flatten(a).parts for a in alts] for alts in alternatives]
+        self._layout(tokens + [[right_adjoint(target).parts]])
+        self.tail = self.end - len(target)
         self._fill()
         if not all(alternatives):  # a token without a type: no path crosses it
-            self.goals[0] = 0
+            self.spans[0] = 0
 
     def _layout(self, tokens):
         parts, dst, eps = [], [], {}  # eps: node -> the nodes one empty edge leads to
@@ -135,93 +124,78 @@ class SpanSearch:
         self.parts, self.dst, self.eps, self.end = parts, dst, eps, len(parts)
 
     def _fill(self):
-        m, n, parts, dst = self.m, self.end, self.parts, self.dst
-        eps, partners, below = self.eps, self.table.partners, self.below
-        fits, where = {}, {}
-        spans = self.spans = [0] * (n + 1)
-        goals = self.goals = [0] * n + [1 << m]
+        n, tail, parts, dst = self.end, self.tail, self.parts, self.dst
+        eps, partners = self.eps, self.table.partners
+        where = {}
+        spans = self.spans = [0] * n + [1 << n]
         for u in range(n - 1, -1, -1):
-            x, d = parts[u], dst[u]
+            x = parts[u]
             span = 1 << u
-            goal = goals[d] >> 1  # u kept as residue, where it fits
-            if goal:
-                if x not in fits:
-                    fits[x] = sum(1 << t for t in range(m) if x in below[t])
-                goal &= fits[x]
-            ends = 0  # u links to a partner k across a span d -> k
-            for y in partners[x]:
-                ends |= where.get(y, 0)
-            ends &= spans[d]
-            while ends:
-                k = (ends & -ends).bit_length() - 1
-                ends &= ends - 1
-                span |= spans[dst[k]]
-                goal |= goals[dst[k]]
-            for w in eps.get(u, ()):
-                span |= spans[w]
-                goal |= goals[w]
+            if u < tail:  # a goal tail position starts no link
+                ends = 0  # u links to a partner k across a span dst[u] -> k
+                for y in partners[x]:
+                    ends |= where.get(y, 0)
+                ends &= spans[dst[u]]
+                while ends:
+                    k = (ends & -ends).bit_length() - 1
+                    ends &= ends - 1
+                    span |= spans[dst[k]]
+                for w in eps.get(u, ()):
+                    span |= spans[w]
             spans[u] = span
-            goals[u] = goal
             where[x] = where.get(x, 0) | 1 << u  # the positions from u on, by type
 
     def reduces(self) -> bool:
-        return bool(self.goals[0] & 1)
+        return bool(self.spans[0] >> self.end & 1)
 
-    def _ways(self, u: int, t: int, v: int):
-        # the ways state (u, t, v) of a flat search succeeds, in search
-        # order, each a move and the states it leaves that do not take the
-        # empty path, inner span first: (u, -1) keeps u as residue, (u, k)
-        # links u to k, None takes the empty path
-        m, parts, dst = self.m, self.parts, self.dst
-        spans, goals = self.spans, self.goals
-        if t == m and u == v:
-            yield None, ()
-            return
+    def _ways(self, u: int, v: int):
+        # the ways state (u, v) of a flat search succeeds, in search order,
+        # each a move and the non-empty states it leaves, inner span first:
+        # (u, -1) keeps u as residue, linked to the goal tail's v - 1, and
+        # (u, k) links u to the input position k
+        parts, dst, spans, tail = self.parts, self.dst, self.spans, self.tail
 
         def left(*states):
-            return tuple(s for s in states if s[0] != s[2] or s[1] < m)
+            return tuple(s for s in states if s[0] != s[1])
 
-        rests, bit = (goals, t) if v == self.end else (spans, v)
         x, d = parts[u], dst[u]
-        if x in self.below[t] and goals[d] >> t + 1 & 1:
-            yield (u, -1), left((d, t + 1, v))
         ys = self.table.partners[x]
-        ends = spans[d]
+        if v > tail and parts[v - 1] in ys and spans[d] >> v - 1 & 1:
+            yield (u, -1), left((d, v - 1))
+        ends = spans[d] & (1 << tail) - 1
         while ends:
             k = (ends & -ends).bit_length() - 1
             ends &= ends - 1
-            if parts[k] in ys and rests[dst[k]] >> bit & 1:
-                yield (u, k), left((d, m, k), (dst[k], t, v))
+            if parts[k] in ys and spans[dst[k]] >> v & 1:
+                yield (u, k), left((d, k), (dst[k], v))
 
     def _first(self) -> ReductionWitness:
         # each state's first way in _ways' order, off a stack of states; a
         # loop of its own, as a generator per state would cost about as much
         # as deciding a short sentence
-        m, n, parts, dst = self.m, self.end, self.parts, self.dst
-        spans, goals = self.spans, self.goals
-        below, partners = self.below, self.table.partners
-        links, residue, todo = [], [], [(0, 0, n)]
+        tail, parts, dst, spans = self.tail, self.parts, self.dst, self.spans
+        partners, inputs = self.table.partners, (1 << tail) - 1
+        links, residue, todo = [], [], [(0, self.end)]
         while todo:
-            u, t, v = todo.pop()
-            while t < m or u != v:
+            u, v = todo.pop()
+            while u != v:
                 x, d = parts[u], dst[u]
-                if x in below[t] and goals[d] >> t + 1 & 1:
-                    residue.append(u)
-                    u, t = d, t + 1
-                    continue
-                rests, bit = (goals, t) if v == n else (spans, v)
                 ys = partners[x]
-                ends = spans[d]
+                if v > tail and parts[v - 1] in ys and spans[d] >> v - 1 & 1:
+                    residue.append(u)
+                    u, v = d, v - 1
+                    continue
+                ends = spans[d] & inputs
                 while ends:
                     k = (ends & -ends).bit_length() - 1
                     ends &= ends - 1
-                    if parts[k] in ys and rests[dst[k]] >> bit & 1:
+                    if parts[k] in ys and spans[dst[k]] >> v & 1:
                         links.append((u, k))
-                        todo.append((dst[k], t, v))
-                        u, t, v = d, m, k
+                        todo.append((dst[k], v))
+                        u, v = d, k
                         break
                 else:  # a state of a flat search that succeeds has a way
-                    raise AssertionError(f"state {(u, t, v)} succeeds by no way")
+                    raise AssertionError(f"state {(u, v)} succeeds by no way")
         return ReductionWitness(tuple(links), tuple(residue))
 
     def witnesses(self, limit: int = DEFAULT_LIMIT) -> list[ReductionWitness]:
@@ -238,12 +212,12 @@ class SpanSearch:
             return []
         if limit == 1:
             return [self._first()]
-        # depth first over (links and residue kept, move, states left as
-        # nested pairs, next first); a state's ways are listed once, at most
-        # limit of them, as each way leads to a witness
+        # depth first over (links and residue kept, move, non-empty states
+        # left as nested pairs, next first); a state's ways are listed once,
+        # at most limit of them, as each way leads to a witness
         found, listed = [], {}
         links, residue = [], []
-        todo = [(0, 0, None, ((0, 0, self.end), None))]
+        todo = [(0, 0, None, ((0, self.end), None) if self.end else None)]
         while todo:
             kept, held, move, left = todo.pop()
             del links[kept:], residue[held:]

@@ -135,6 +135,19 @@ def test_simple_leq_requires_matching_exponent_and_beta():
     assert not simple_leq(SimpleType("n"), SimpleType("n", beta=True), TABLE)
 
 
+def test_simple_leq_follows_the_atom_order():
+    # from first principles, not from the contraction partners it is read off:
+    # same exponent and tag, the atom order at even exponents, reversed at odd
+    simple = [SimpleType(a, z, beta) for a in sorted(TABLE.atoms) for z in range(-3, 4)
+              for beta in (False, True)]
+    for x in simple:
+        for y in simple:
+            lesser, greater = (x, y) if x.exponent % 2 == 0 else (y, x)
+            expected = (x.exponent == y.exponent and x.beta == y.beta
+                        and TABLE.leq(lesser.atom, greater.atom))
+            assert simple_leq(x, y, TABLE) == expected, (x, y)
+
+
 def test_contracts_basic():
     assert contracts(SimpleType("n"), SimpleType("n", 1), TABLE)       # n n^r
     assert contracts(SimpleType("n", -1), SimpleType("n"), TABLE)      # n^l n

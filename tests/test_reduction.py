@@ -58,6 +58,17 @@ def test_empty_input_to_empty_target():
     assert w is not None and not w.links and w.residue == ()
 
 
+@pytest.mark.parametrize("input, goal", [("", "n n^l"), ("s", "s n n^l")])
+def test_goal_tail_does_not_contract_with_itself(input, goal):
+    # the search appends the goal's right adjoint, here ... n n^r ..., whose
+    # n n^r would contract; only input positions start a link
+    t, g = parse_type(input, NS), parse_type(goal, NS)
+    assert reduce(t, g, NS) is None
+    assert enumerate_reductions(t, g, NS) == []
+    lattice = [[t, parse_type("n n^r", NS)], [CompoundType(), parse_type("n", NS)]]
+    assert not SpanSearch(lattice, g, NS).reduces()
+
+
 def test_beta_blocks_crossing_contraction():
     # n n^l n n^r n n^l n -> n has two parses; beta-tags select one each
     plain = parse_type("n n^l n n^r n n^l n", NS)
@@ -358,6 +369,7 @@ goals = st.sampled_from([
     CompoundType((SimpleType("b"),)),
     CompoundType((SimpleType("b", 0, True),)),
     CompoundType((SimpleType("a", -1), SimpleType("b", 0, True))),
+    CompoundType((SimpleType("b"), SimpleType("b", -1))),  # its adjoint b b^r contracts
 ])
 
 

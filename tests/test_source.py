@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package or the tests imports a name it
-never uses, and no module of the package defines a private name, or a
-private method or class attribute, it never reads."""
+never uses, no module of the package defines a private name, or a
+private method or class attribute, it never reads, and the README lists
+every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -163,3 +165,11 @@ def test_self_call_is_found():
         "        return self.walk([])\n"
     )
     assert self_calls(source) == ["line 2: f", "line 6: walk"]
+
+
+def test_readme_names_every_module():
+    # each module of the package has an entry in the README's Modules list
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("\nModules:\n\n", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"^- `(\w+)`", listed, re.MULTILINE))
+    assert named == {p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
