@@ -14,7 +14,6 @@ import numpy as np
 from . import data as bundled
 from .core import (
     AtomTable,
-    BracedType,
     CompoundType,
     PregroupError,
     SimpleType,
@@ -28,7 +27,7 @@ from .core import (
     right_adjoint,
     simple_leq,
 )
-from .functors import FunctorSpec, apply_functor, check_functor_laws, segment_bounds
+from .functors import FunctorSpec, check_functor_laws, image_witness, target_positions
 from .reduction import ReductionWitness, reduce, type_selections
 from .semantics import AlphaSpec, SpaceAssignment, check_naturality, lcg_array, load_tensor_fixture
 
@@ -86,18 +85,16 @@ SQUARES = (
 
 def square(fixture: str, mode: str, mask, bracing, goal: str):
     """The spaces, word tensors, source witness, functor (the identity on the
-    fixture's atoms, in ``mode`` with ``mask``) and target witness of a
-    bundled fixture's square, its words cut into segments at ``bracing``."""
+    fixture's atoms, in ``mode`` with ``mask``) and target witness (the
+    source witness's image) of a bundled fixture's square, cut at ``bracing``."""
     spaces, tensors = load_tensor_fixture(bundled.tensor_path(fixture))
     table = AtomTable(dict(spaces.dims).keys())
     functor = FunctorSpec("x", "y", mode, {a: parse_type(a, table) for a in table.atoms}, table,
                           mask)
-    target = parse_type(goal, table)
-    braced = BracedType(tuple(concat(wt.type for wt in tensors[a:b])
-                              for a, b in segment_bounds(len(tensors), bracing)))
-    src_w = reduce(braced.flatten(), target, table)
-    tgt_w = reduce(flatten(apply_functor(functor, braced)), target, table)
-    return spaces, tensors, src_w, functor, tgt_w
+    types = [wt.type for wt in tensors]
+    src_w = reduce(concat(types), parse_type(goal, table), table)
+    return spaces, tensors, src_w, functor, image_witness(
+        target_positions(functor, types, bracing), src_w)
 
 
 def square_alpha(spaces: SpaceAssignment, seeds: dict[str, int]) -> AlphaSpec:

@@ -16,6 +16,7 @@ brace-wise functor, and never through the post metarules.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -285,6 +286,23 @@ def word_order(f: FunctorSpec, words: Sequence, bracing=None) -> list[tuple[obje
     segments = segment_bounds(len(words), bracing)
     return [(word, reverse) for reverse, (a, b) in zip(f.mask(len(segments)), segments)
             for word in words[a:b][::-1 if reverse else 1]]
+
+
+def target_positions(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -> list[int]:
+    """The target position of each simple type of the word ``types`` when
+    each image is one simple type: segments stay in order, and a reversed
+    segment lists its words, and each word's parts, in reverse."""
+    ends = list(itertools.accumulate(map(len, types)))
+    order = [p for (t, end), reverse in word_order(f, list(zip(types, ends)), bracing)
+             for p in range(end - len(t), end)[::-1 if reverse else 1]]
+    return sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+
+
+def image_witness(where: list[int], w: ReductionWitness) -> ReductionWitness:
+    """``w`` through the positions ``where``: each link the sorted pair of
+    its ends' positions, in left-end order, and the residue increasing."""
+    links = sorted(tuple(sorted((where[i], where[j]))) for i, j in w.links)
+    return ReductionWitness(tuple(links), tuple(sorted(where[r] for r in w.residue)))
 
 
 def translate_sentence(

@@ -306,9 +306,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
         return types
 
     words: dict[str, LexiconEntry] = {}
-    for word, texts, aliases in entries:
+    for i, (word, texts, aliases) in enumerate(entries):
         if not word:
-            errors.append("entry with empty word")
+            errors.append(f"entries[{i}]: entry with empty word")
             continue
         types = parsed(texts, f"word {word!r}")
         if not types:
@@ -316,7 +316,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
             continue
         made = LexiconEntry(word, tuple(sorted(set(types))), aliases)
         if word in words and words[word] != made:
-            errors.append(f"duplicate word {word!r} with conflicting entry")
+            errors.append(f"entries[{i}]: duplicate word {word!r} with conflicting entry")
             continue
         words[word] = made
     owners: dict[str, str] = {}  # alias -> the word that claimed it first

@@ -1,6 +1,7 @@
 """Desk-scale DisCoCat semantics: finite-dimensional spaces for atoms,
 word tensors, reduction witnesses as epsilon contractions, and numeric
-naturality checks for translations under functors of all three modes.
+naturality checks for translations under functors of all three modes: a
+square's target witness must be the image of its source witness.
 
 ``interpret`` contracts in an order read off the witness, with no
 contraction-path search, and each alpha component is inverted once, when
@@ -16,7 +17,6 @@ and a seeded word has at most MAX_SEEDED_ENTRIES entries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +32,7 @@ from .core import (
     render_type,
 )
 from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism, word_order
+from .functors import image_witness, target_positions
 from .reduction import ReductionWitness, WitnessError
 
 # Knuth MMIX linear congruential generator; values mapped to [-1, 1).
@@ -58,10 +59,6 @@ def lcg_array(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     geometric = np.cumsum(np.concatenate(([np.uint64(1)], powers[:-1])))  # 1 + a + … + a^i
     state = powers * np.uint64(seed & _MASK64) + geometric * np.uint64(LCG_INCREMENT)
     return ((state >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(shape)
-
-
-def lcg_floats(seed: int, count: int) -> list[float]:
-    return lcg_array(seed, (count,)).tolist()
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,9 @@ def apply_alpha(
     transformed by the atom's component map, odd-exponent axes by its
     inverse transpose (so every epsilon pairing is preserved); axis order
     follows the functor image, whose parts are in reverse order when
-    ``reverse`` (the image of a word in a reversed segment)."""
+    ``reverse`` (the image of a word in a reversed segment).  An override
+    must have the image type and the shape of the carried tensor."""
+    data, source_parts = (t.data.T, t.type.parts[::-1]) if reverse else (t.data, t.type.parts)
     override = alpha.override(t.word)
     if override is not None:
         if override.type != image_type:
@@ -277,16 +276,15 @@ def apply_alpha(
                 f"{t.word!r}: override has type {render_type(override.type)!r}, "
                 f"not the image type {render_type(image_type)!r}"
             )
+        if override.data.shape != data.shape:
+            raise SemanticsError(
+                f"{t.word!r}: override has shape {override.data.shape}, not {data.shape}"
+            )
         return override
     if len(image_type) != len(t.type):
         raise SemanticsError(
             f"{t.word!r}: image type length {len(image_type)} != {len(t.type)}"
         )
-    data = t.data
-    source_parts = t.type.parts
-    if reverse:
-        data = np.transpose(data, tuple(range(data.ndim - 1, -1, -1)))
-        source_parts = tuple(reversed(source_parts))
     axes = zip((p.atom for p in source_parts), (p.exponent for p in image_type.parts))
     return WordTensor(t.word, image_type, _carry(alpha, data, axes))
 
@@ -340,40 +338,27 @@ def check_naturality(
 ) -> NaturalityReport:
     """Verify the translation square numerically: interpreting then
     applying alpha must equal applying alpha word-wise then interpreting
-    in the target model, within the tolerance (max-abs norm).  Both paths
-    take their word order from ``functors.word_order``, given the brace
-    cuts of the sentence in ``bracing``.  A post metarule has no tensor
-    map, so a functor with one raises SemanticsError."""
-    if len(src_witness.links) != len(tgt_witness.links) or len(src_witness.residue) != len(
-        tgt_witness.residue
-    ):
-        raise SemanticsError("source and target witnesses do not correspond")
+    in the target model, within the tolerance (max-abs norm).  Word order
+    and target positions come from ``functors`` (brace cuts ``bracing``);
+    a ``tgt_witness`` that is not the image of ``src_witness`` raises
+    SemanticsError, as does a post metarule, which has no tensor map."""
     if functor.post_metarules:
         raise SemanticsError(f"post metarule {functor.post_metarules[0].kind!r} has no tensor map")
-    order = word_order(functor, range(len(src_tensors)), bracing)  # word indices
-    start = [0, *itertools.accumulate(len(wt.type) for wt in src_tensors)]  # words' first axes
-    flat = concat(wt.type for wt in src_tensors)
-
-    # reduce in the source, then translate the residue, its axes in target order
+    types = [wt.type for wt in src_tensors]
     meaning = interpret(src_witness, src_tensors, _spaces_from_tensors(src_tensors))
-    residue = [flat[i] for i in src_witness.residue]
-    meaning = _carry(alpha, meaning, ((p.atom, p.exponent) for p in residue))
-    rank = {p: k for k, p in enumerate(
-        p for i, reverse in order for p in range(start[i], start[i + 1])[::-1 if reverse else 1])}
-    meaning = meaning.transpose(sorted(range(meaning.ndim),
-                                       key=lambda a: rank[src_witness.residue[a]]))
-
-    # translate word-wise in target order, then reduce in the target
     translated = []
-    for i, reverse in order:
-        wt, image = src_tensors[i], apply_antihomomorphism if reverse else apply_homomorphism
+    for wt, reverse in word_order(functor, src_tensors, bracing):
+        image = apply_antihomomorphism if reverse else apply_homomorphism
         translated.append(apply_alpha(alpha, wt, image(functor, wt.type), reverse))
-    target_meaning = interpret(tgt_witness, translated, _spaces_from_tensors(translated))
+    where = target_positions(functor, types, bracing)
+    if tgt_witness != image_witness(where, src_witness):
+        raise SemanticsError("source and target witnesses do not correspond")
 
-    if meaning.shape != target_meaning.shape:
-        raise SemanticsError(
-            f"path shapes differ: {meaning.shape} vs {target_meaning.shape}"
-        )
+    # translate the source meaning's residue, its axes in target order
+    flat, residue = concat(types), src_witness.residue
+    meaning = _carry(alpha, meaning, ((flat[r].atom, flat[r].exponent) for r in residue))
+    meaning = meaning.transpose(sorted(range(meaning.ndim), key=lambda a: where[residue[a]]))
+    target_meaning = interpret(tgt_witness, translated, _spaces_from_tensors(translated))
     residual = float(np.max(np.abs(meaning - target_meaning))) if meaning.size else 0.0
     return NaturalityReport(residual, tolerance)
 

@@ -323,6 +323,13 @@ def test_wordmap_missing_word_raises():
         wm.get("b")
 
 
+def test_functor_file_atom_map_must_be_total(tmp_path):
+    path = write_functor(tmp_path, "homomorphism", {})
+    with pytest.raises(FunctorError) as info:
+        load_functor(path, AtomTable({"n", "s", "o1", "o5"}), AtomTable({"n", "s", "o5"}))
+    assert str(info.value) == f"{path}: field 'atom_map': atom map not total; missing ['o1']"
+
+
 def test_functor_atom_map_must_be_total():
     src, tgt, f, wm = bundle("jp-en-anti")
     partial = FunctorSpec(

@@ -77,6 +77,29 @@ def test_colliding_aliases_rejected(tmp_path, entries, message):
     assert str(p) in str(exc.value) and message in str(exc.value)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([{"word": "v", "types": ["a"]}, {"word": "", "types": ["a"]}],
+     "entries[1]: entry with empty word"),
+    ([{"word": "v", "types": ["a"]}, {"word": "w", "types": ["a"]}, {"word": "v", "types": ["b"]}],
+     "entries[2]: duplicate word 'v' with conflicting entry"),
+])
+def test_bad_entry_names_its_index(tmp_path, entries, message):
+    p = tmp_path / "entries.json"
+    p.write_text(json.dumps({"language": "xx", "atoms": ["a", "b"], "entries": entries}))
+    with pytest.raises(LexiconError) as exc:
+        load_lexicon(p)
+    assert str(p) in str(exc.value) and message in str(exc.value)
+
+
+def test_lexicon_file_that_is_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"atoms": ["a"], "entries": [{"word": "caf\u00e9", "types": ["a"]}]}'
+                  .encode("latin-1"))
+    with pytest.raises(LexiconError) as exc:
+        load_lexicon(p)
+    assert str(exc.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_cyclic_order_rejected(tmp_path):
     bad = {"language": "xx", "atoms": ["a", "b"], "order": [["a", "b"], ["b", "a"]], "entries": []}
     p = tmp_path / "cyc.json"

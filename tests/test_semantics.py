@@ -2,30 +2,36 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pregtrans import data as bundled
 from pregtrans import semantics
-from pregtrans.checks import brute_force
+from pregtrans.checks import _TABLE, brute_force, oracle_reduce
 from pregtrans.core import (
     AtomTable,
     BracedType,
     CompoundType,
     SimpleType,
     concat,
+    contracts,
     flatten,
     parse_type,
+    simple_leq,
 )
 from pregtrans.functors import (
     FunctorSpec,
     apply_antihomomorphism,
     apply_functor,
     apply_homomorphism,
+    image_witness,
     load_functor,
     load_wordmap,
     segment_bounds,
+    target_positions,
     translate_sentence,
 )
 from pregtrans.lexicon import load_lexicon
@@ -40,7 +46,6 @@ from pregtrans.semantics import (
     eta,
     interpret,
     lcg_array,
-    lcg_floats,
     load_tensor_fixture,
     make_word_tensor,
 )
@@ -75,7 +80,7 @@ def sequential_contract(witness, tensors, spaces, link_order):
 # ---- generators and fixtures ---------------------------------------------------
 
 def test_lcg_reproducible():
-    assert lcg_floats(7, 3) == lcg_floats(7, 3)
+    assert lcg_array(7, (3,)).tolist() == lcg_array(7, (3,)).tolist()
     a = lcg_array(7, (2, 2))
     assert a.shape == (2, 2)
     assert np.all(a >= -1) and np.all(a < 1)
@@ -95,7 +100,6 @@ def python_lcg(seed, count):
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 12345, 2**64 - 1])
 @pytest.mark.parametrize("count", [0, 1, 5, 512])
 def test_lcg_matches_the_python_loop_bit_for_bit(seed, count):
-    assert lcg_floats(seed, count) == python_lcg(seed, count)
     assert lcg_array(seed, (count,)).tolist() == python_lcg(seed, count)
 
 
@@ -436,6 +440,22 @@ def test_apply_alpha_word_override():
         apply_alpha(alpha, src, parse_type("n", EN), reverse=False)
 
 
+@pytest.mark.parametrize("word, image, reverse, shape, carried", [
+    ("n", "n", False, (3,), (2,)),
+    ("n s", "n s", False, (3, 2), (2, 3)),
+    ("n s", "s n", True, (2, 3), (3, 2)),  # a reversed word's axes are carried reversed
+])
+def test_apply_alpha_rejects_an_override_of_another_shape(word, image, reverse, shape, carried):
+    spaces = SpaceAssignment.make({"n": 2, "s": 3})
+    word, image = parse_type(word, EN), parse_type(image, EN)
+    src = make_word_tensor("w", word, np.ones(spaces.shape_of(word)), spaces)
+    alpha = AlphaSpec.make({"n": np.eye(2), "s": np.eye(3)},
+                           {"w": semantics.WordTensor("w", image, np.zeros(shape))})
+    message = f"'w': override has shape {shape}, not {carried}"
+    with pytest.raises(SemanticsError, match=f"^{re.escape(message)}$"):
+        apply_alpha(alpha, src, image, reverse)
+
+
 def test_apply_alpha_rejects_an_image_type_of_another_length():
     src = make_word_tensor("w", parse_type("n", EN), [1.0, 0.0], SpaceAssignment.make({"n": 2}))
     alpha = AlphaSpec.make({"n": np.eye(2)})
@@ -504,6 +524,89 @@ def test_naturality_holds_for_unrelated_invertible_components():
     )
     report = check_naturality(alpha, src_w, tensors, anti, tgt_w, 1e-9)
     assert report.ok
+
+
+def test_naturality_square_takes_the_image_of_the_source_witness():
+    # the image type under the identity anti-homomorphism is the source
+    # type itself, and reduce's first witness of it is not the image of
+    # reduce's first witness of the source
+    table = AtomTable({"a", "b", "c"})
+    rng = np.random.default_rng(4)
+    spaces = SpaceAssignment.make({"a": 2, "b": 3, "c": 2})
+    types = [parse_type(t, table) for t in ("b b^l", "b b^r b")]
+    tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
+               for i, t in enumerate(types)]
+    anti = FunctorSpec("x", "y", "antihomomorphism", {a: parse_type(a, table) for a in "abc"},
+                       table)
+    goal = parse_type("b", table)
+    src_w = reduce(concat(types), goal, table)
+    searched = reduce(apply_antihomomorphism(anti, concat(types)), goal, table)
+    image = ReductionWitness(((0, 3), (1, 2)), (4,))
+    assert searched == ReductionWitness(((1, 4), (2, 3)), (0,)) == src_w
+    assert image_witness(target_positions(anti, types), src_w) == image
+    alpha = AlphaSpec.make({a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d))
+                            for a, d in spaces.dims.items()})
+    with pytest.raises(SemanticsError, match=r"^source and target witnesses do not correspond$"):
+        check_naturality(alpha, src_w, tensors, anti, searched, 1e-9)
+    report = check_naturality(alpha, src_w, tensors, anti, image, 1e-9)
+    assert report.ok, report.max_residual
+
+
+@st.composite
+def monotone_functors(draw):
+    """A homomorphism or anti-homomorphism on ``checks._TABLE`` (a <= b)
+    sending each atom to one target atom, several maybe to the same one,
+    with the target order holding F(a) <= F(b)."""
+    image = {a: draw(st.sampled_from("wxyz")) for a in sorted(_TABLE.atoms)}
+    order = [(image["a"], image["b"])] if image["a"] != image["b"] else []
+    mode = draw(st.sampled_from(["homomorphism", "antihomomorphism"]))
+    return FunctorSpec("x", "y", mode, {a: CompoundType((SimpleType(t),)) for a, t in image.items()},
+                       AtomTable(set(image.values()), order))
+
+
+@st.composite
+def reducing_sentences(draw):
+    """Word types and a goal they reduce to: contracting pairs put into the
+    goal's parts at random places, cut into words at random."""
+    goal = parse_type(draw(st.sampled_from(["", "b", "b b^l", "a^l b"])), _TABLE)
+    parts = list(goal.parts)
+    for _ in range(draw(st.integers(0, 4))):
+        x = SimpleType(draw(st.sampled_from("abcd")), draw(st.integers(-2, 2)), draw(st.booleans()))
+        at = draw(st.integers(0, len(parts)))
+        parts[at:at] = [x, draw(st.sampled_from(sorted(_TABLE.partners[x])))]
+    cuts = [0] + [k for k in range(1, len(parts)) if draw(st.booleans())] + [len(parts)]
+    return [CompoundType(tuple(parts[a:b])) for a, b in zip(cuts, cuts[1:])], goal
+
+
+@settings(max_examples=150, deadline=None)
+@given(monotone_functors(), reducing_sentences(), st.integers(0, 2**32 - 1))
+def test_the_image_of_every_reduction_is_a_reduction_of_the_image(functor, sentence, seed):
+    types, goal = sentence
+    target = functor.target_table
+    where = target_positions(functor, types)
+    image_type, goal_image = apply_functor(functor, concat(types)), apply_functor(functor, goal)
+    # a dimension per target atom, so F(a) and F(b) share one, and one
+    # alpha component per class of the source order, so a and b share one
+    rng = np.random.default_rng(seed)
+    dims = {t: int(rng.integers(1, 4)) for t in sorted(target.atoms)}
+    dims[functor.atom_map["b"][0].atom] = dims[functor.atom_map["a"][0].atom]
+    spaces = SpaceAssignment.make({a: dims[functor.atom_map[a][0].atom] for a in "abcd"}, _TABLE)
+    tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
+               for i, t in enumerate(types)]
+    mats = {a: np.eye(spaces.dim(a)) + 0.3 * rng.uniform(-1, 1, (spaces.dim(a),) * 2)
+            for a in "acd"}
+    alpha = AlphaSpec.make({**mats, "b": mats["a"]})
+    witnesses = oracle_reduce(concat(types), goal, _TABLE)
+    assert witnesses
+    for w in witnesses:
+        image = image_witness(where, w)
+        image.partners(len(image_type))
+        assert all(contracts(image_type[i], image_type[j], target) for i, j in image.links)
+        assert len(image.residue) == len(goal_image)
+        assert all(simple_leq(image_type[r], g, target)
+                   for r, g in zip(image.residue, goal_image.parts))
+        report = check_naturality(alpha, w, tensors, functor, image, 1e-9)
+        assert report.ok, report.max_residual
 
 
 def braced(types, bracing):
