@@ -27,7 +27,7 @@ from .core import (
     right_adjoint,
     simple_leq,
 )
-from .functors import FunctorSpec, check_functor_laws, image_witness, target_positions
+from .functors import FunctorSpec, check_functor_laws, functor_image, image_witness
 from .reduction import ReductionWitness, reduce, type_selections
 from .semantics import AlphaSpec, SpaceAssignment, check_naturality, lcg_array, load_tensor_fixture
 
@@ -94,7 +94,7 @@ def square(fixture: str, mode: str, mask, bracing, goal: str):
     types = [wt.type for wt in tensors]
     src_w = reduce(concat(types), parse_type(goal, table), table)
     return spaces, tensors, src_w, functor, image_witness(
-        target_positions(functor, types, bracing), src_w)
+        functor_image(functor, types, bracing).where, src_w)
 
 
 def square_alpha(spaces: SpaceAssignment, seeds: dict[str, int]) -> AlphaSpec:

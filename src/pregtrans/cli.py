@@ -159,7 +159,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
         path = _locate(name or defaults[role], bundled.lexicon_path)
         lexicons.append(load_lexicon(path))
     src, tgt = lexicons
-    _goal(target, src.table)  # a bad --target fails before any sentence is read
+    goal = _goal(target, src.table)  # a bad --target fails before any sentence is read
     functor = load_functor(functor_path, src.table, tgt.table)
     if wordmap_name is not None:
         wordmap_path = _locate(wordmap_name, bundled.wordmap_path)
@@ -179,7 +179,8 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
                 tokens.append(piece)
         try:
             result = translate_sentence(
-                src, tgt, functor, wm, tokens, tuple(bracing) or None, source_target=target
+                src, tgt, functor, wm, tokens, tuple(bracing) or None, source_target=target,
+                goal=goal,
             )
         except (NotTranslatableError, UnknownWordError) as exc:
             click.echo(f"not translatable: {exc}")

@@ -11,15 +11,18 @@ token -> replacement string (possibly empty or multi-word).
 grammar, and an override replaces that simple type's image in every mode.
 A translation's goal maps through the same image function as the
 sentence: reversed under an anti-homomorphism, homomorphically under a
-brace-wise functor, and never through the post metarules.
+brace-wise functor, and never through the post metarules.  A translation's
+target witness is the image of its source witness through the position
+map of :func:`functor_image`, and the image type is searched only where
+that is not a reduction.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
     AtomTable,
@@ -62,6 +65,9 @@ class FunctorSpec:
     post_metarules: tuple[Metarule, ...] = ()
     # untagged source simple type -> its image, in place of the computed one
     simple_overrides: dict[SimpleType, CompoundType] = field(default_factory=dict)
+    # (word type's parts, reversed) -> its image's parts and whether each
+    # part maps to one simple type, filled by functor_image
+    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -273,11 +279,11 @@ class TranslationResult:
 
 def segment_bounds(n: int, bracing) -> list[tuple[int, int]]:
     """The (start, end) of each brace segment that the cuts ``bracing`` make in ``n`` words."""
-    cuts = list(bracing or ())
-    if any(c <= 0 or c >= n for c in cuts) or cuts != sorted(set(cuts)):
-        raise FunctorError(f"bracing {cuts} does not partition {n} tokens")
-    bounds = [0] + cuts + [n]
-    return list(zip(bounds, bounds[1:]))
+    bounds = [0, *(bracing or ()), n]
+    segments = list(zip(bounds, bounds[1:]))
+    if len(segments) > 1 and any(a >= b for a, b in segments):  # cuts not 0 < c1 < ... < n
+        raise FunctorError(f"bracing {bounds[1:-1]} does not partition {n} tokens")
+    return segments
 
 
 def word_order(f: FunctorSpec, words: Sequence, bracing=None) -> list[tuple[object, bool]]:
@@ -288,21 +294,71 @@ def word_order(f: FunctorSpec, words: Sequence, bracing=None) -> list[tuple[obje
             for word in words[a:b][::-1 if reverse else 1]]
 
 
-def target_positions(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -> list[int]:
-    """The target position of each simple type of the word ``types`` when
-    each image is one simple type: segments stay in order, and a reversed
-    segment lists its words, and each word's parts, in reverse."""
-    ends = list(itertools.accumulate(map(len, types)))
-    order = [p for (t, end), reverse in word_order(f, list(zip(types, ends)), bracing)
-             for p in range(end - len(t), end)[::-1 if reverse else 1]]
-    return sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+class FunctorImage(NamedTuple):
+    """The word types cut into brace segments, their image and the position
+    map: the target position of each source simple type, or None."""
+
+    source: BracedType
+    image: BracedType
+    where: list[int] | None
+
+
+def _word_image(f: FunctorSpec, t: CompoundType, reverse: bool) -> tuple[tuple, bool]:
+    """The parts of ``t``'s image, in reverse as in a reversed segment, and
+    whether each part maps to one simple type, kept in ``f._images`` under
+    (``t.parts``, ``reverse``): a functor does not change."""
+    single = all(len(_image(f, CompoundType((p,)), False)) == 1 for p in t.parts)
+    found = f._images[t.parts, reverse] = (_image(f, t, reverse).parts, single)
+    return found
+
+
+def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -> FunctorImage:
+    """The word ``types`` cut into brace segments at ``bracing``, their image
+    under ``f`` and the position map, in one walk over the words in target
+    order: segments stay in order, and a reversed segment lists its words,
+    and each word's parts, in reverse.  A post metarule that fires on a
+    segment and exchanges its first two simple types exchanges their
+    positions.  The map is None when some simple type's image is not one
+    simple type, or another post metarule changes a segment."""
+    bounds = segment_bounds(len(types), bracing)
+    images, rules, table = f._images, f.post_metarules, f.target_table
+    source, segments, where = [], [], []
+    for reverse, (a, b) in zip(f.mask(len(bounds)), bounds):
+        words = types[a:b]
+        seg = concat(words)
+        source.append(seg)
+        parts = []
+        for t in reversed(words) if reverse else words:
+            image, single = images.get((t.parts, reverse)) or _word_image(f, t, reverse)
+            parts += image
+            if not single:
+                where = None
+        image = CompoundType(tuple(parts))
+        if where is not None:  # a one-to-one segment keeps its place, maybe reversed
+            start, end = len(where), len(where) + len(seg)
+            where += range(end - 1, start - 1, -1) if reverse else range(start, end)
+        for rule in rules:
+            changed = rule.apply_once(image, table)
+            if changed != image and where is not None:
+                if rule.swaps_first_two:  # the sources at the segment's first two targets
+                    p, q = (end - 1, end - 2) if reverse else (start, start + 1)
+                    where[p], where[q] = where[q], where[p]
+                else:
+                    where = None
+            image = changed
+        segments.append(image)
+    return FunctorImage(BracedType(tuple(source)), BracedType(tuple(segments)), where)
 
 
 def image_witness(where: list[int], w: ReductionWitness) -> ReductionWitness:
     """``w`` through the positions ``where``: each link the sorted pair of
     its ends' positions, in left-end order, and the residue increasing."""
-    links = sorted(tuple(sorted((where[i], where[j]))) for i, j in w.links)
-    return ReductionWitness(tuple(links), tuple(sorted(where[r] for r in w.residue)))
+    links = []
+    for i, j in w.links:
+        i, j = where[i], where[j]
+        links.append((i, j) if i < j else (j, i))
+    links.sort()
+    return ReductionWitness(tuple(links), tuple(sorted([where[r] for r in w.residue])))
 
 
 def translate_sentence(
@@ -313,14 +369,23 @@ def translate_sentence(
     tokens: list[str],
     bracing: tuple[int, ...] | None = None,
     source_target: str = "s",
+    goal: CompoundType | None = None,
 ) -> TranslationResult:
     """Translate a tokenized source sentence: find a type selection that
-    reduces in the source grammar, push the braced type through the
-    functor, reduce the image in the target grammar, and realize the
-    target words in :func:`word_order`.  A failing target reduction is
+    reduces to ``source_target`` in the source grammar (``goal`` is that
+    type parsed, when the caller has it, as the CLI does once per batch),
+    take the braced type and the position map through the functor with
+    :func:`functor_image`, and realize the target words in
+    :func:`word_order`.  The target witness is the image of the source
+    witness (:func:`image_witness`) when one linear check
+    (:meth:`ReductionWitness.proves`) finds it a reduction of the image to
+    the goal's image; only when there is no position map or the check fails,
+    as under a non-functorial override or where image links cross, is the
+    image searched with :func:`reduce`.  A failing target reduction is
     reported as a diagnostic, not an error."""
     order = word_order(f, tokens, bracing)  # a mask mismatch fails before the search
-    goal = parse_plain_type(source_target, lex_src.table)
+    if goal is None:
+        goal = parse_plain_type(source_target, lex_src.table)
     alternatives = [lex_src.alternatives(tok) for tok in tokens]
     for chosen, search in type_selections(alternatives, goal, lex_src.table):
         break
@@ -331,14 +396,16 @@ def translate_sentence(
         )
     witness = search.witnesses(1)[0]
 
-    segments = segment_bounds(len(tokens), bracing)
-    source_braced = BracedType(tuple(concat(chosen[a:b]) for a, b in segments))
-    translated = apply_functor(f, source_braced)
-    if not isinstance(translated, BracedType):
-        translated = BracedType((translated,))
-
+    source_braced, translated, where = functor_image(f, chosen, bracing)
+    flat = translated.flatten()
     goal_image = _image(f, goal, f.reverses)
-    target_witness = reduce(translated.flatten(), goal_image, lex_tgt.table)
+    target_witness = None
+    if where is not None:
+        target_witness = image_witness(where, witness)
+        if not target_witness.proves(flat, goal_image, lex_tgt.table):
+            target_witness = None
+    if target_witness is None:
+        target_witness = reduce(flat, goal_image, lex_tgt.table)
     diagnostic = None
     if target_witness is None:
         diagnostic = (

@@ -170,6 +170,13 @@ class Metarule:
                     )
         return out
 
+    @property
+    def swaps_first_two(self) -> bool:
+        """Whether a type the rule rewrites keeps its simple types in place
+        but for its first two, which trade places (slot-flip also moves
+        their adjoints), as ``argument-swap`` and ``slot-flip`` do."""
+        return self.kind in ("argument-swap", "slot-flip")
+
     def apply_once(self, t: CompoundType, table: AtomTable) -> CompoundType:
         """Deterministic single application: the first derived type if the
         rule matches, otherwise the input unchanged."""
@@ -310,9 +317,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
         if not word:
             errors.append(f"entries[{i}]: entry with empty word")
             continue
-        types = parsed(texts, f"word {word!r}")
+        where = f"entries[{i}]: field 'types': word {word!r}"
+        types = parsed(texts, where)
         if not types:
-            errors.append(f"word {word!r} has no valid types")
+            errors.append(f"{where} has no valid types")
             continue
         made = LexiconEntry(word, tuple(sorted(set(types))), aliases)
         if word in words and words[word] != made:

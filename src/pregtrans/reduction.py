@@ -16,7 +16,9 @@ count check that refuses the alternatives whose count code
 (``AtomTable.counts``) cannot balance against the target's.  Induced order
 steps (s1 -> s, n -> pi) are folded into the contraction partners.  One
 linear bracket scan, :meth:`ReductionWitness.partners`, checks a witness
-for :func:`render_diagram` and for ``semantics.interpret``.
+for :func:`render_diagram` and for ``semantics.interpret``, and
+:meth:`ReductionWitness.proves` adds the contraction and residue checks, so
+a translation can take the image of a source witness without a search.
 """
 
 from __future__ import annotations
@@ -77,6 +79,20 @@ class ReductionWitness(NamedTuple):
                 i = opened[-1]
                 raise WitnessError(f"residue position {p} lies under link ({i}, {partner[i]})")
         return partner
+
+    def proves(self, input: Type, target: CompoundType, table: AtomTable) -> bool:
+        """Whether this witnesses ``input`` reducing to ``target``: its links
+        pass the :meth:`partners` scan and each contracts, and the k-th
+        residue simple type is at most the target's k-th.  Linear time."""
+        parts = flatten(input).parts
+        try:
+            self.partners(len(parts))
+        except WitnessError:
+            return False
+        partners = table.partners  # contracts and simple_leq, inline
+        return (len(self.residue) == len(target)
+                and all(parts[j] in partners[parts[i]] for i, j in self.links)
+                and all(g.right in partners[parts[r]] for r, g in zip(self.residue, target.parts)))
 
 
 class SpanSearch:

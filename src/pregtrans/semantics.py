@@ -32,7 +32,7 @@ from .core import (
     render_type,
 )
 from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism, word_order
-from .functors import image_witness, target_positions
+from .functors import functor_image, image_witness
 from .reduction import ReductionWitness, WitnessError
 
 # Knuth MMIX linear congruential generator; values mapped to [-1, 1).
@@ -341,7 +341,9 @@ def check_naturality(
     in the target model, within the tolerance (max-abs norm).  Word order
     and target positions come from ``functors`` (brace cuts ``bracing``);
     a ``tgt_witness`` that is not the image of ``src_witness`` raises
-    SemanticsError, as does a post metarule, which has no tensor map."""
+    SemanticsError, as do a post metarule, which has no tensor map, and a
+    simple type whose image is not one simple type, which leaves no
+    position map."""
     if functor.post_metarules:
         raise SemanticsError(f"post metarule {functor.post_metarules[0].kind!r} has no tensor map")
     types = [wt.type for wt in src_tensors]
@@ -350,7 +352,9 @@ def check_naturality(
     for wt, reverse in word_order(functor, src_tensors, bracing):
         image = apply_antihomomorphism if reverse else apply_homomorphism
         translated.append(apply_alpha(alpha, wt, image(functor, wt.type), reverse))
-    where = target_positions(functor, types, bracing)
+    where = functor_image(functor, types, bracing).where
+    if where is None:
+        raise SemanticsError("a simple type's image is not one simple type: no position map")
     if tgt_witness != image_witness(where, src_witness):
         raise SemanticsError("source and target witnesses do not correspond")
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pregtrans import data as bundled
+from pregtrans import functors
 from pregtrans.core import (
     AtomTable,
+    BracedType,
     CompoundType,
     SimpleType,
     TypeParseError,
@@ -27,11 +29,14 @@ from pregtrans.functors import (
     apply_functor,
     apply_homomorphism,
     check_functor_laws,
+    functor_image,
+    image_witness,
     load_functor,
     load_wordmap,
     translate_sentence,
 )
-from pregtrans.lexicon import load_lexicon
+from pregtrans.lexicon import Lexicon, LexiconEntry, Metarule, load_lexicon
+from pregtrans.reduction import ReductionWitness, reduce
 
 
 def bundle(functor_name):
@@ -338,3 +343,76 @@ def test_functor_atom_map_must_be_total():
     )
     with pytest.raises(FunctorError):
         apply_homomorphism(partial, parse_type("s", src.table))
+
+
+# ---- the target witness: the image of the source witness, searched on fallback ------
+
+def no_search(*args):
+    raise AssertionError("the image of the source witness is a reduction")
+
+
+def test_psi_target_witness_is_the_image_with_the_flip_swapped(monkeypatch):
+    # slot-flip rewrites the second segment's image s o1^l ... to o1^r s ...,
+    # so the map sends kaku's o1^r (7) and s (8) to 3 and 4, not 4 and 3
+    src, tgt, f, wm = bundle("psi")
+    types = [src.alternatives(tok)[0] for tok in ["issya", "ga", "tegami", "wo", "kaku"]]
+    assert functor_image(f, types, (2,)).where == [2, 1, 0, 8, 7, 6, 5, 3, 4]
+
+    monkeypatch.setattr(functors, "reduce", no_search)
+    res = translate_sentence(src, tgt, f, wm, "issya ga tegami wo kaku".split(), bracing=(2,))
+    assert res.source_witness == ReductionWitness(((0, 1), (2, 7), (3, 4), (5, 6)), (8,))
+    assert res.target_witness == ReductionWitness(((0, 3), (1, 2), (5, 6), (7, 8)), (4,))
+
+
+def test_argument_swap_post_metarule_swaps_positions(monkeypatch):
+    # < o1 o2 > reversed gives o2 o1, and argument-swap turns the verb's
+    # o2^r o1^r s into o1^r o2^r s, so the links cross back to nesting
+    table = AtomTable({"o1", "o2", "s"})
+    swap = Metarule.make("argument-swap", cases=["o1", "o2"], head="s")
+    f = FunctorSpec("x", "y", "bracewise", {a: parse_type(a, table) for a in table.atoms},
+                    table, (True, False), (swap,))
+    types = [parse_type(t, table) for t in ("o1", "o2", "o2^r o1^r s")]
+    assert functor_image(f, types, (2,)).where == [1, 0, 3, 2, 4]
+    expand = Metarule.make("atom-expansion", atom="o2", replacement="o2 o2^l o2")
+    f_expand = FunctorSpec("x", "y", "bracewise", f.atom_map, table, (True, False), (expand,))
+    assert functor_image(f_expand, types, (2,)).where is None
+
+    monkeypatch.setattr(functors, "reduce", no_search)
+    words = ["a", "b", "c"]
+    lex = Lexicon("x", table, {w: LexiconEntry(w, (t,)) for w, t in zip(words, types)})
+    res = translate_sentence(lex, lex, f, WordMap({w: w for w in words}), words, (2,))
+    assert render_type(res.translated) == "< o2 o1 > < o1^r o2^r s >"
+    assert res.target_witness == ReductionWitness(((0, 3), (1, 2)), (4,))
+
+
+def test_jp_ro_hom_searches_where_the_image_is_not_a_reduction(monkeypatch):
+    # the override n^l -> n^r is not functorial: the source link n^l n maps
+    # to n^r n, which does not contract, but the image type still reduces
+    reg = bundled.FUNCTOR_REGISTRY["jp-ro-hom"]
+    src, tgt = (load_lexicon(bundled.lexicon_path(reg[role])) for role in ("src", "tgt"))
+    f = load_functor(bundled.functor_path("jp-ro-hom"), src.table, tgt.table)
+    wm = WordMap({"@0": "", "neko": "pisica"})
+    searches = []
+    monkeypatch.setattr(functors, "reduce", lambda *args: searches.append(args) or reduce(*args))
+    res = translate_sentence(src, tgt, f, wm, ["@0", "neko"], source_target="o1 s^r n")
+    assert render_type(res.translated) == "< n s^r n n^r n >"
+    assert image_witness(functor_image(f, [src.alternatives(t)[0] for t in ["@0", "neko"]]).where,
+                         res.source_witness) == ReductionWitness(((3, 4),), (0, 1, 2))
+    assert len(searches) == 1
+    assert res.target_witness == ReductionWitness(((2, 3),), (0, 1, 4))
+    assert res.diagnostic is None and res.text == "pisica"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({a: atom_images for a in "abc"}), source_types, source_types,
+       st.booleans())
+def test_functor_image_is_apply_functor_with_its_position_map(atom_map, t, u, flip):
+    # two words in two segments, the first reversed when flip
+    f = FunctorSpec("x", "y", "bracewise", atom_map, IMAGE_TARGET, (flip, False))
+    found = functor_image(f, [t, u], (1,))
+    assert found.source == BracedType((t, u))
+    assert found.image == apply_functor(f, found.source)
+    assert (found.where is None) == any(len(atom_map[p.atom]) != 1 for p in t.parts + u.parts)
+    if found.where is not None:
+        order = list(range(len(t)))[::-1 if flip else 1] + list(range(len(t), len(t) + len(u)))
+        assert found.where == sorted(range(len(order)), key=order.__getitem__)

@@ -62,6 +62,18 @@ def test_braced_types_rejected_where_plain_types_are_meant(tmp_path, extra, mess
     assert str(p) in str(exc.value) and message in str(exc.value)
 
 
+@pytest.mark.parametrize("types, message", [
+    (["a", "< a >"], "word 'w': brace segments are not allowed"),
+    (["q", "a a^"], "word 'w' has no valid types"),
+])
+def test_type_errors_name_the_entry_and_field(tmp_path, types, message):
+    p = tmp_path / "types.json"
+    p.write_text(json.dumps({"atoms": ["a"], "entries": [{"word": "w", "types": types}]}))
+    with pytest.raises(LexiconError) as exc:
+        load_lexicon(p)
+    assert str(p) in str(exc.value) and f"entries[0]: field 'types': {message}" in str(exc.value)
+
+
 @pytest.mark.parametrize("entries, message", [
     ([{"word": "a", "types": ["a"], "aliases": ["b"]}, {"word": "b", "types": ["b"]}],
      "alias 'b' of word 'a' is another entry's word"),

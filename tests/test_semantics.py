@@ -24,17 +24,18 @@ from pregtrans.core import (
 )
 from pregtrans.functors import (
     FunctorSpec,
+    WordMap,
     apply_antihomomorphism,
     apply_functor,
     apply_homomorphism,
+    functor_image,
     image_witness,
     load_functor,
     load_wordmap,
     segment_bounds,
-    target_positions,
     translate_sentence,
 )
-from pregtrans.lexicon import load_lexicon
+from pregtrans.lexicon import Lexicon, LexiconEntry, load_lexicon
 from pregtrans.reduction import ReductionWitness, enumerate_reductions, reduce
 from pregtrans.semantics import (
     AlphaSpec,
@@ -543,7 +544,7 @@ def test_naturality_square_takes_the_image_of_the_source_witness():
     searched = reduce(apply_antihomomorphism(anti, concat(types)), goal, table)
     image = ReductionWitness(((0, 3), (1, 2)), (4,))
     assert searched == ReductionWitness(((1, 4), (2, 3)), (0,)) == src_w
-    assert image_witness(target_positions(anti, types), src_w) == image
+    assert image_witness(functor_image(anti, types).where, src_w) == image
     alpha = AlphaSpec.make({a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d))
                             for a, d in spaces.dims.items()})
     with pytest.raises(SemanticsError, match=r"^source and target witnesses do not correspond$"):
@@ -583,7 +584,7 @@ def reducing_sentences(draw):
 def test_the_image_of_every_reduction_is_a_reduction_of_the_image(functor, sentence, seed):
     types, goal = sentence
     target = functor.target_table
-    where = target_positions(functor, types)
+    where = functor_image(functor, types).where
     image_type, goal_image = apply_functor(functor, concat(types)), apply_functor(functor, goal)
     # a dimension per target atom, so F(a) and F(b) share one, and one
     # alpha component per class of the source order, so a and b share one
@@ -607,6 +608,47 @@ def test_the_image_of_every_reduction_is_a_reduction_of_the_image(functor, sente
                    for r, g in zip(image.residue, goal_image.parts))
         report = check_naturality(alpha, w, tensors, functor, image, 1e-9)
         assert report.ok, report.max_residual
+
+
+@st.composite
+def translations(draw):
+    """A sentence from :func:`reducing_sentences` and a homomorphism,
+    anti-homomorphism or brace-wise functor (random cuts and mask) on
+    ``checks._TABLE`` sending each atom to one target atom, several maybe to
+    the same one, with F(a) <= F(b) in the target order or not, so the image
+    of a reduction need not be one."""
+    types, goal = draw(reducing_sentences())
+    image = {a: draw(st.sampled_from("wxyz")) for a in sorted(_TABLE.atoms)}
+    keep = image["a"] != image["b"] and draw(st.booleans())
+    table = AtomTable(set(image.values()), [(image["a"], image["b"])] if keep else [])
+    atom_map = {a: CompoundType((SimpleType(t),)) for a, t in image.items()}
+    mode = draw(st.sampled_from(["homomorphism", "antihomomorphism", "bracewise"]))
+    bracing, mask = None, None
+    if mode == "bracewise":
+        bracing = tuple(k for k in range(1, len(types)) if draw(st.booleans()))
+        mask = tuple(draw(st.booleans()) for _ in range(len(bracing) + 1))
+    return FunctorSpec("x", "y", mode, atom_map, table, mask), types, goal, bracing
+
+
+@settings(max_examples=300, deadline=None)
+@given(translations())
+def test_translation_takes_the_image_and_searches_only_where_it_is_no_reduction(translation):
+    functor, types, goal, bracing = translation
+    target = functor.target_table
+    words = [f"w{i}" for i in range(len(types))]
+    src = Lexicon("x", _TABLE, {w: LexiconEntry(w, (t,)) for w, t in zip(words, types)})
+    result = translate_sentence(src, Lexicon("y", target, {}), functor,
+                                WordMap({w: w for w in words}), words, bracing, goal=goal)
+    image_type = result.translated.flatten()
+    goal_image = (apply_antihomomorphism if functor.reverses else apply_homomorphism)(functor, goal)
+    tgt_w = result.target_witness
+    assert (tgt_w is not None) == (reduce(image_type, goal_image, target) is not None)
+    if tgt_w is not None:
+        tgt_w.partners(len(image_type))
+        assert all(contracts(image_type[i], image_type[j], target) for i, j in tgt_w.links)
+    image = image_witness(functor_image(functor, types, bracing).where, result.source_witness)
+    if image in oracle_reduce(image_type, goal_image, target):
+        assert tgt_w == image
 
 
 def braced(types, bracing):
@@ -662,6 +704,22 @@ def test_naturality_square_with_a_scalar_residue(mode, mask, bracing):
     assert np.abs(interpret(src_w, tensors, spaces) - want) <= 1e-12 * max(abs(want), 1)
     report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9, bracing)
     assert report.max_residual <= 1e-12 * max(abs(want), 1)
+
+
+def test_naturality_needs_one_simple_type_per_image():
+    # every word keeps its length, n -> n s and s -> 1, but no simple type
+    # maps to one simple type, so there is no position map
+    table = AtomTable({"n", "s"})
+    spaces = SpaceAssignment.make({"n": 2, "s": 2})
+    types = [parse_type(t, table) for t in ("n s", "s^r n^r")]
+    tensors = [make_word_tensor(f"w{i}", t, np.ones(spaces.shape_of(t)), spaces)
+               for i, t in enumerate(types)]
+    functor = FunctorSpec("x", "y", "homomorphism",
+                          {"n": parse_type("n s", table), "s": CompoundType()}, table)
+    w = reduce(concat(types), CompoundType(), table)
+    alpha = AlphaSpec.make({"n": np.eye(2), "s": np.eye(2)})
+    with pytest.raises(SemanticsError, match="image is not one simple type: no position map"):
+        check_naturality(alpha, w, tensors, functor, w, 1e-9)
 
 
 def test_naturality_rejects_a_component_of_the_wrong_size():
