@@ -23,7 +23,6 @@ a translation can take the image of a source witness without a search.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from .core import (
@@ -164,31 +163,35 @@ class SpanSearch:
     def reduces(self) -> bool:
         return bool(self.spans[0] >> self.end & 1)
 
-    def _ways(self, u: int, v: int):
-        # the ways state (u, v) of a flat search succeeds, in search order,
-        # each a move and the non-empty states it leaves, inner span first:
-        # (u, -1) keeps u as residue, linked to the goal tail's v - 1, and
-        # (u, k) links u to the input position k
+    def _ways(self, u: int, v: int, limit: int) -> list:
+        # the first limit ways state (u, v) of a flat search succeeds, in
+        # search order, each a move and the non-empty states it leaves, in
+        # push order (inner span last, so it is read first): (u, -1) keeps u
+        # as residue, linked to the goal tail's v - 1, and (u, k) links u to
+        # the input position k
         parts, dst, spans, tail = self.parts, self.dst, self.spans, self.tail
-
-        def left(*states):
-            return tuple(s for s in states if s[0] != s[1])
-
         x, d = parts[u], dst[u]
         ys = self.table.partners[x]
+        ways = []
         if v > tail and parts[v - 1] in ys and spans[d] >> v - 1 & 1:
-            yield (u, -1), left((d, v - 1))
+            ways.append(((u, -1), ((d, v - 1),) if d != v - 1 else ()))
         ends = spans[d] & (1 << tail) - 1
-        while ends:
+        while ends and len(ways) < limit:
             k = (ends & -ends).bit_length() - 1
             ends &= ends - 1
             if parts[k] in ys and spans[dst[k]] >> v & 1:
-                yield (u, k), left((d, k), (dst[k], v))
+                e = dst[k]
+                states = ((e, v),) if e != v else ()
+                if d != k:
+                    states += ((d, k),)
+                ways.append(((u, k), states))
+        return ways
 
     def _first(self) -> ReductionWitness:
-        # each state's first way in _ways' order, off a stack of states; a
-        # loop of its own, as a generator per state would cost about as much
-        # as deciding a short sentence
+        # each state's first way in search order, off a stack of states: the
+        # witness for limit 1, as reduce and translation take it once per
+        # sentence; listing each state's ways and keeping branch records,
+        # as the general walk does, costs about twice as much there
         tail, parts, dst, spans = self.tail, self.parts, self.dst, self.spans
         partners, inputs = self.table.partners, (1 << tail) - 1
         links, residue, todo = [], [], [(0, self.end)]
@@ -219,7 +222,18 @@ class SpanSearch:
         reads positions left to right; at each it first keeps the simple type
         as the next residue element, then links it to its partners from the
         nearest on, taking inner link sets in the same order.  A witness is
-        read inner span first, so links come out in order of left end."""
+        read inner span first, so links come out in order of left end.
+
+        The walk is depth first over the packed forest of states: it follows
+        each state's first way straight down and keeps a branch record only
+        at a state with another way left, holding the links and residue
+        kept, the state's ways, the next way's index and the states pending
+        as nested pairs.  A witness is done when no state is pending, and
+        the walk resumes from the latest record, so it pays about one step
+        per move that differs between consecutive witnesses.  A state's ways
+        are listed once, at most ``limit`` of them, as each way leads to a
+        witness.  Limit 1 takes :meth:`_first`, a plain descent that lists
+        no ways."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if self.eps:
@@ -228,33 +242,37 @@ class SpanSearch:
             return []
         if limit == 1:
             return [self._first()]
-        # depth first over (links and residue kept, move, non-empty states
-        # left as nested pairs, next first); a state's ways are listed once,
-        # at most limit of them, as each way leads to a witness
         found, listed = [], {}
         links, residue = [], []
-        todo = [(0, 0, None, ((0, self.end), None) if self.end else None)]
-        while todo:
-            kept, held, move, left = todo.pop()
-            del links[kept:], residue[held:]
-            if move is not None and move[1] < 0:
-                residue.append(move[0])
-            elif move is not None:
-                links.append(move)
-            if left is None:
+        branches = []  # [links kept, residue kept, ways, next way's index, states pending]
+        pending = ((0, self.end), None) if self.end else None
+        while True:
+            if pending is None:
                 found.append(ReductionWitness(tuple(links), tuple(residue)))
-                if len(found) == limit:
+                if len(found) == limit or not branches:
                     break
-                continue
-            state, left = left
-            if state not in listed:
-                listed[state] = list(itertools.islice(self._ways(*state), limit))
-            kept, held = len(links), len(residue)
-            for move, states in reversed(listed[state]):
-                rest = left
-                for s in reversed(states):
-                    rest = (s, rest)
-                todo.append((kept, held, move, rest))
+                branch = branches[-1]
+                kept, held, ways, i, pending = branch
+                del links[kept:], residue[held:]
+                if i + 1 < len(ways):
+                    branch[3] = i + 1
+                else:
+                    branches.pop()
+                move, states = ways[i]
+            else:
+                state, pending = pending
+                ways = listed.get(state)
+                if ways is None:
+                    ways = listed[state] = self._ways(*state, limit)
+                if len(ways) > 1:
+                    branches.append([len(links), len(residue), ways, 1, pending])
+                move, states = ways[0]
+            if move[1] < 0:
+                residue.append(move[0])
+            else:
+                links.append(move)
+            for s in states:
+                pending = (s, pending)
         return sorted(found)
 
 
@@ -283,13 +301,13 @@ def type_selections(alternatives, target: CompoundType, table: AtomTable):
     counts = table.counts
     chosen = [alts[0] for alts in alternatives]
     ambiguous, codes = [], []  # codes[d]: the codes of token ambiguous[d]'s alternatives
-    need = counts[target]  # less the unambiguous tokens': the code the others must add
+    need = counts[target.parts]  # less the unambiguous tokens': the code the others must add
     for t, alts in enumerate(alternatives):
         if len(alts) == 1:
-            need -= counts[alts[0]]
+            need -= counts[alts[0].parts]
         else:
             ambiguous.append(t)
-            codes.append([counts[x] for x in alts])
+            codes.append([counts[x.parts] for x in alts])
     # reach[d]: the codes tokens ambiguous[d:] can add, or None: not pruned
     reach = [None] * len(ambiguous) + [{0}]
     size = 0  # the lattice's simple types, counted when first needed

@@ -62,6 +62,7 @@ def test_count_digits_follow_order_classes_tags_and_parity():
     assert len({digit[SimpleType(a, 0, beta)] for a in ("n", "s") for beta in (False, True)}) == 4
     code = digit[SimpleType("s")] - digit[SimpleType("n", 0, True)]
     assert TABLE.counts[T("n pi^r s b(n)^l")] == code
+    assert TABLE.counts[T("n pi^r s b(n)^l").parts] == code and TABLE.counts[()] == 0
     with pytest.raises(UnknownAtomError):
         TABLE.counts[SimpleType("q")]
 

@@ -1,5 +1,6 @@
 """Reduction engine: golden witnesses, DP-vs-brute-force, diagram rendering."""
 
+import itertools
 import sys
 import time
 
@@ -147,9 +148,11 @@ def call_depth():
 
 def test_search_needs_no_deep_stack():
     # a fixed number of frames whatever the input: a chain, deep nesting,
-    # and 82 words with two types each
+    # 40 conjuncts with more witnesses than the limit, and 82 words with
+    # two types each
     chain = parse_type("n n^l " * 1500 + "n", NS)
     nested = parse_type("n " + "n^l " * 3000 + "n " * 3000, NS)
+    coordination = parse_type("n n^l n" + " n^r n n^l n" * 39, NS)
     ja = load_lexicon(data.lexicon_path("ja"))
     words = ("neko no " * 80 + "neko ga sakana wo taberu").split()
     alternatives = [ja.alternatives(word) for word in words]
@@ -159,11 +162,13 @@ def test_search_needs_no_deep_stack():
     try:
         for t in (chain, nested):
             w = reduce(t, goal, NS)
-            assert enumerate_reductions(t, goal, NS, limit=5) == [w]
+            assert enumerate_reductions(t, goal, NS) == [w]
+        many = enumerate_reductions(coordination, goal, NS, limit=1024)
         (selection, search), = type_selections(alternatives, parse_type("s", ja.table), ja.table)
     finally:
         sys.setrecursionlimit(saved)
     assert search.reduces() and len(selection) == len(words)
+    assert len(many) == 1024 and reduce(coordination, goal, NS) in many
 
 
 def test_determinism_and_ordering():
@@ -212,6 +217,94 @@ def test_witnesses_are_planar_and_well_nested(parts):
     goal = CompoundType((SimpleType("b"),))
     for w in enumerate_reductions(t, goal, TABLE):
         w.partners(len(t.parts))  # raises WitnessError unless planar, well-nested and covering
+
+
+# the walk the branch-record walk replaced, kept as the reference for
+# search order: a stack entry for every way of every state it passes
+
+def reference_ways(search, u, v):
+    parts, dst, spans, tail = search.parts, search.dst, search.spans, search.tail
+
+    def left(*states):
+        return tuple(s for s in states if s[0] != s[1])
+
+    x, d = parts[u], dst[u]
+    ys = search.table.partners[x]
+    if v > tail and parts[v - 1] in ys and spans[d] >> v - 1 & 1:
+        yield (u, -1), left((d, v - 1))
+    ends = spans[d] & (1 << tail) - 1
+    while ends:
+        k = (ends & -ends).bit_length() - 1
+        ends &= ends - 1
+        if parts[k] in ys and spans[dst[k]] >> v & 1:
+            yield (u, k), left((d, k), (dst[k], v))
+
+
+def reference_witnesses(search, limit):
+    """The first ``limit`` witnesses of a flat search, in search order."""
+    if not search.reduces():
+        return []
+    found, listed = [], {}
+    links, residue = [], []
+    todo = [(0, 0, None, ((0, search.end), None) if search.end else None)]
+    while todo:
+        kept, held, move, left = todo.pop()
+        del links[kept:], residue[held:]
+        if move is not None and move[1] < 0:
+            residue.append(move[0])
+        elif move is not None:
+            links.append(move)
+        if left is None:
+            found.append(ReductionWitness(tuple(links), tuple(residue)))
+            if len(found) == limit:
+                break
+            continue
+        state, left = left
+        if state not in listed:
+            listed[state] = list(itertools.islice(reference_ways(search, *state), limit))
+        kept, held = len(links), len(residue)
+        for move, states in reversed(listed[state]):
+            rest = left
+            for s in reversed(states):
+                rest = (s, rest)
+            todo.append((kept, held, move, rest))
+    return found
+
+
+ORDER_GOALS = [parse_type(g, TABLE) for g in ("", "b", "b b^l", "a^l b")]
+SIMPLE = st.builds(SimpleType, st.sampled_from("ab"), st.integers(-1, 1))
+
+
+@st.composite
+def flat_inputs(draw):
+    """A goal and a flat input over TABLE: the goal's parts or random simple
+    types, with strings that reduce to the unit inserted, so that many
+    inputs reduce and some in many ways.  Each such string is x then a
+    partner y of x, or a coordination x x^l x (x^r x x^l x)^k then y, whose
+    x^l and x^r take the conjuncts in Catalan(k + 1) ways."""
+    goal = draw(st.sampled_from(ORDER_GOALS))
+    parts = list(draw(st.one_of(st.just(goal.parts), st.lists(SIMPLE, max_size=6))))
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(SIMPLE)
+        y = draw(st.sampled_from(sorted(TABLE.partners[x], key=repr)))
+        conjuncts = [x.left, x] + [x.right, x, x.left, x] * draw(st.integers(0, 2))
+        unit = [x] + conjuncts * draw(st.booleans()) + [y]
+        at = draw(st.integers(0, len(parts)))
+        parts[at:at] = unit
+    return CompoundType(tuple(parts)), goal
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_inputs())
+def test_every_limit_keeps_the_reference_search_order(drawn):
+    t, goal = drawn
+    search = SpanSearch([(t,)], goal, TABLE)
+    count = len(reference_witnesses(search, 10**9))
+    for k in range(1, count + 2):
+        assert enumerate_reductions(t, goal, TABLE, limit=k) == sorted(
+            reference_witnesses(search, k))
+    first = reference_witnesses(search, 1)
+    assert reduce(t, goal, TABLE) == (first[0] if first else None)
 
 
 # the predicates the scan replaced, kept as its reference
