@@ -179,8 +179,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
                 tokens.append(piece)
         try:
             result = translate_sentence(
-                src, tgt, functor, wm, tokens, tuple(bracing) or None, source_target=target,
-                goal=goal,
+                src, tgt, functor, wm, tokens, tuple(bracing) or None, source_target=goal
             )
         except (NotTranslatableError, UnknownWordError) as exc:
             click.echo(f"not translatable: {exc}")

@@ -11,10 +11,11 @@ token -> replacement string (possibly empty or multi-word).
 grammar, and an override replaces that simple type's image in every mode.
 A translation's goal maps through the same image function as the
 sentence: reversed under an anti-homomorphism, homomorphically under a
-brace-wise functor, and never through the post metarules.  A translation's
-target witness is the image of its source witness through the position
-map of :func:`functor_image`, and the image type is searched only where
-that is not a reduction.
+brace-wise functor, and never through the post metarules.  One walk over
+a sentence's brace segments, :func:`functor_image`, gives its image, the
+target word order and the position map, through which a translation's
+target witness is the image of its source witness; the image type is
+searched only where that is not a reduction.
 """
 
 from __future__ import annotations
@@ -200,16 +201,11 @@ def apply_antihomomorphism(f: FunctorSpec, t: CompoundType) -> CompoundType:
 
 def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
     """Transform each brace segment, anti-homomorphically where the mask
-    is true, then apply the post metarules to each segment once."""
+    is true, then apply the post metarules to each segment once: the image
+    :func:`functor_image` takes of the segments as one word each."""
     if f.mode != "bracewise":
         raise FunctorError("functor is not brace-wise")
-    segments = []
-    for reverse, seg in zip(f.mask(len(t.segments)), t.segments):
-        image = _image(f, seg, reverse)
-        for rule in f.post_metarules:
-            image = rule.apply_once(image, f.target_table)
-        segments.append(image)
-    return BracedType(tuple(segments))
+    return functor_image(f, t.segments, range(1, len(t.segments))).image
 
 
 def apply_functor(f: FunctorSpec, t: Type) -> Type:
@@ -286,52 +282,43 @@ def segment_bounds(n: int, bracing) -> list[tuple[int, int]]:
     return segments
 
 
-def word_order(f: FunctorSpec, words: Sequence, bracing=None) -> list[tuple[object, bool]]:
-    """The source ``words`` in target order, each with whether its brace
-    segment (``bracing`` cuts the words into segments) maps in reverse."""
-    segments = segment_bounds(len(words), bracing)
-    return [(word, reverse) for reverse, (a, b) in zip(f.mask(len(segments)), segments)
-            for word in words[a:b][::-1 if reverse else 1]]
-
-
 class FunctorImage(NamedTuple):
-    """The word types cut into brace segments, their image and the position
-    map: the target position of each source simple type, or None."""
+    """The word types cut into brace segments, their image, the position
+    map (the target position of each source simple type, or None) and the
+    order: each source word's index in target order, with whether its
+    segment maps in reverse."""
 
     source: BracedType
     image: BracedType
     where: list[int] | None
-
-
-def _word_image(f: FunctorSpec, t: CompoundType, reverse: bool) -> tuple[tuple, bool]:
-    """The parts of ``t``'s image, in reverse as in a reversed segment, and
-    whether each part maps to one simple type, kept in ``f._images`` under
-    (``t.parts``, ``reverse``): a functor does not change."""
-    single = all(len(_image(f, CompoundType((p,)), False)) == 1 for p in t.parts)
-    found = f._images[t.parts, reverse] = (_image(f, t, reverse).parts, single)
-    return found
+    order: list[tuple[int, bool]]
 
 
 def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -> FunctorImage:
     """The word ``types`` cut into brace segments at ``bracing``, their image
-    under ``f`` and the position map, in one walk over the words in target
-    order: segments stay in order, and a reversed segment lists its words,
-    and each word's parts, in reverse.  A post metarule that fires on a
-    segment and exchanges its first two simple types exchanges their
-    positions.  The map is None when some simple type's image is not one
-    simple type, or another post metarule changes a segment."""
+    under ``f``, the position map and the order, in one walk over the words
+    in target order: segments stay in order, and a reversed segment lists
+    its words, and each word's parts, in reverse.  A post metarule that
+    fires on a segment and exchanges its first two simple types exchanges
+    their positions.  The map is None when some simple type's image is not
+    one simple type, or another post metarule changes a segment."""
     bounds = segment_bounds(len(types), bracing)
     images, rules, table = f._images, f.post_metarules, f.target_table
-    source, segments, where = [], [], []
+    source, segments, where, order = [], [], [], []
     for reverse, (a, b) in zip(f.mask(len(bounds)), bounds):
-        words = types[a:b]
-        seg = concat(words)
+        seg = concat(types[a:b])
         source.append(seg)
         parts = []
-        for t in reversed(words) if reverse else words:
-            image, single = images.get((t.parts, reverse)) or _word_image(f, t, reverse)
-            parts += image
-            if not single:
+        for i in range(b - 1, a - 1, -1) if reverse else range(a, b):
+            order.append((i, reverse))
+            t = types[i]
+            found = images.get((t.parts, reverse))
+            if found is None:  # a functor does not change
+                found = images[t.parts, reverse] = (
+                    _image(f, t, reverse).parts,
+                    all(len(_image(f, CompoundType((p,)), False)) == 1 for p in t.parts))
+            parts += found[0]
+            if not found[1]:
                 where = None
         image = CompoundType(tuple(parts))
         if where is not None:  # a one-to-one segment keeps its place, maybe reversed
@@ -347,7 +334,7 @@ def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -
                     where = None
             image = changed
         segments.append(image)
-    return FunctorImage(BracedType(tuple(source)), BracedType(tuple(segments)), where)
+    return FunctorImage(BracedType(tuple(source)), BracedType(tuple(segments)), where, order)
 
 
 def image_witness(where: list[int], w: ReductionWitness) -> ReductionWitness:
@@ -368,35 +355,34 @@ def translate_sentence(
     wm: WordMap,
     tokens: list[str],
     bracing: tuple[int, ...] | None = None,
-    source_target: str = "s",
-    goal: CompoundType | None = None,
+    source_target: str | CompoundType = "s",
 ) -> TranslationResult:
     """Translate a tokenized source sentence: find a type selection that
-    reduces to ``source_target`` in the source grammar (``goal`` is that
-    type parsed, when the caller has it, as the CLI does once per batch),
-    take the braced type and the position map through the functor with
-    :func:`functor_image`, and realize the target words in
-    :func:`word_order`.  The target witness is the image of the source
-    witness (:func:`image_witness`) when one linear check
+    reduces to ``source_target`` (a type string, or the type parsed, as the
+    CLI passes it once per batch) in the source grammar, and take the braced
+    type through the functor with :func:`functor_image`, which gives the
+    image, the position map and the order the target words are realized
+    in.  The target witness is the image of the source witness
+    (:func:`image_witness`) when one linear check
     (:meth:`ReductionWitness.proves`) finds it a reduction of the image to
     the goal's image; only when there is no position map or the check fails,
     as under a non-functorial override or where image links cross, is the
     image searched with :func:`reduce`.  A failing target reduction is
     reported as a diagnostic, not an error."""
-    order = word_order(f, tokens, bracing)  # a mask mismatch fails before the search
-    if goal is None:
-        goal = parse_plain_type(source_target, lex_src.table)
+    f.mask(len(segment_bounds(len(tokens), bracing)))  # a bad cut or mask fails first
+    goal = (parse_plain_type(source_target, lex_src.table) if isinstance(source_target, str)
+            else source_target)
     alternatives = [lex_src.alternatives(tok) for tok in tokens]
     for chosen, search in type_selections(alternatives, goal, lex_src.table):
         break
     else:
         raise NotTranslatableError(
-            f"no type selection of {tokens} reduces to {source_target!r} in "
+            f"no type selection of {tokens} reduces to {render_type(goal)!r} in "
             f"{lex_src.language}"
         )
     witness = search.witnesses(1)[0]
 
-    source_braced, translated, where = functor_image(f, chosen, bracing)
+    source_braced, translated, where, order = functor_image(f, chosen, bracing)
     flat = translated.flatten()
     goal_image = _image(f, goal, f.reverses)
     target_witness = None
@@ -413,5 +399,5 @@ def translate_sentence(
             f"{render_type(goal_image)!r} in {lex_tgt.language}"
         )
 
-    words = tuple(image for tok, _ in order if (image := wm.get(tok)))
+    words = tuple(image for i, _ in order if (image := wm.get(tokens[i])))
     return TranslationResult(source_braced, witness, translated, target_witness, words, diagnostic)

@@ -31,8 +31,8 @@ from .core import (
     concat,
     render_type,
 )
-from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism, word_order
-from .functors import functor_image, image_witness
+from .functors import FunctorSpec, apply_antihomomorphism, apply_homomorphism, functor_image
+from .functors import image_witness
 from .reduction import ReductionWitness, WitnessError
 
 # Knuth MMIX linear congruential generator; values mapped to [-1, 1).
@@ -339,20 +339,19 @@ def check_naturality(
     """Verify the translation square numerically: interpreting then
     applying alpha must equal applying alpha word-wise then interpreting
     in the target model, within the tolerance (max-abs norm).  Word order
-    and target positions come from ``functors`` (brace cuts ``bracing``);
-    a ``tgt_witness`` that is not the image of ``src_witness`` raises
-    SemanticsError, as do a post metarule, which has no tensor map, and a
-    simple type whose image is not one simple type, which leaves no
-    position map."""
+    and target positions come from one :func:`functor_image` (brace cuts
+    ``bracing``); a ``tgt_witness`` that is not the image of ``src_witness``
+    raises SemanticsError, as do a post metarule, which has no tensor map,
+    and a simple type whose image is not one simple type: no position map."""
     if functor.post_metarules:
         raise SemanticsError(f"post metarule {functor.post_metarules[0].kind!r} has no tensor map")
     types = [wt.type for wt in src_tensors]
     meaning = interpret(src_witness, src_tensors, _spaces_from_tensors(src_tensors))
+    _, _, where, order = functor_image(functor, types, bracing)
     translated = []
-    for wt, reverse in word_order(functor, src_tensors, bracing):
+    for i, reverse in order:
         image = apply_antihomomorphism if reverse else apply_homomorphism
-        translated.append(apply_alpha(alpha, wt, image(functor, wt.type), reverse))
-    where = functor_image(functor, types, bracing).where
+        translated.append(apply_alpha(alpha, src_tensors[i], image(functor, types[i]), reverse))
     if where is None:
         raise SemanticsError("a simple type's image is not one simple type: no position map")
     if tgt_witness != image_witness(where, src_witness):

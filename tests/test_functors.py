@@ -117,6 +117,15 @@ def test_bracewise_mask_length_mismatch():
         apply_bracewise(f, three)
 
 
+def test_bracewise_image_needs_a_bracewise_functor():
+    # a homomorphism's one-entry mask would fit a one-segment braced type
+    src, tgt, f, wm = bundle("jp-en-anti")
+    hom = FunctorSpec(f.source_language, f.target_language, "homomorphism", f.atom_map,
+                      f.target_table)
+    with pytest.raises(FunctorError, match="^functor is not brace-wise$"):
+        apply_bracewise(hom, parse_type("< n n^r o1 >", src.table))
+
+
 def test_apply_functor_dispatch():
     src, tgt, f, wm = bundle("jp-en-anti")
     flat = parse_type("n n^r o1", src.table)
@@ -299,6 +308,21 @@ def test_untranslatable_sentence_raises():
         translate_sentence(src, tgt, f, wm, ["mori", "neko"])
 
 
+def test_a_goal_image_longer_than_the_image_witness_residue_is_no_reduction():
+    # w : n reduces to pi as n <= pi, but F(pi) = n n is longer than the
+    # image n, so the image of the source witness proves nothing
+    table = AtomTable({"n", "pi"}, [("n", "pi")])
+    target = AtomTable({"n"})
+    f = FunctorSpec("x", "y", "homomorphism",
+                    {"n": parse_type("n", target), "pi": parse_type("n n", target)}, target)
+    lex = Lexicon("x", table, {"w": LexiconEntry("w", (parse_type("n", table),))})
+    res = translate_sentence(lex, Lexicon("y", target, {}), f, WordMap({"w": "w"}), ["w"],
+                             source_target="pi")
+    assert res.source_witness == ReductionWitness((), (0,))
+    assert res.target_witness is None
+    assert res.diagnostic == "translated type '< n >' does not reduce to 'n n' in y"
+
+
 def test_word_without_types_after_ambiguous_word_raises(tmp_path):
     # no empty_words: the empty word @0 has no type, so no selection exists
     path = tmp_path / "lex.json"
@@ -407,11 +431,13 @@ def test_jp_ro_hom_searches_where_the_image_is_not_a_reduction(monkeypatch):
 @given(st.fixed_dictionaries({a: atom_images for a in "abc"}), source_types, source_types,
        st.booleans())
 def test_functor_image_is_apply_functor_with_its_position_map(atom_map, t, u, flip):
-    # two words in two segments, the first reversed when flip
+    # two words in two segments, the first reversed when flip; the image is
+    # checked against the iterated adjoints, as apply_functor reads functor_image
     f = FunctorSpec("x", "y", "bracewise", atom_map, IMAGE_TARGET, (flip, False))
     found = functor_image(f, [t, u], (1,))
     assert found.source == BracedType((t, u))
-    assert found.image == apply_functor(f, found.source)
+    assert found.image == BracedType((reference_image(f, t, flip), reference_image(f, u, False)))
+    assert found.order == [(0, flip), (1, False)]
     assert (found.where is None) == any(len(atom_map[p.atom]) != 1 for p in t.parts + u.parts)
     if found.where is not None:
         order = list(range(len(t)))[::-1 if flip else 1] + list(range(len(t), len(t) + len(u)))

@@ -373,6 +373,14 @@ def test_scan_accepts_exactly_what_the_old_predicates_accept(drawn):
         assert all(partner[r] == -1 for r in w.residue)
 
 
+def test_a_witness_proves_no_target_of_another_length():
+    # n <= n holds, so only the residue count tells n from n n
+    table = AtomTable({"n"})
+    n, nn = parse_type("n", table), parse_type("n n", table)
+    assert ReductionWitness((), (0,)).proves(n, n, table)
+    assert not ReductionWitness((), (0,)).proves(n, nn, table)
+
+
 def test_oracle_size_guard():
     t = CompoundType(tuple(SimpleType("a") for _ in range(13)))
     with pytest.raises(OracleSizeError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pregtrans import data as bundled
-from pregtrans import semantics
+from pregtrans import checks, semantics
 from pregtrans.checks import _TABLE, brute_force, oracle_reduce
 from pregtrans.core import (
     AtomTable,
@@ -274,6 +274,27 @@ def test_no_intermediate_is_larger_than_greedys_memory_limit(samples, words, goa
         # the cap numpy's greedy path search holds its intermediates to
         limit = max([wt.data.size for wt in tensors] + [result.size])
         assert max(sizes, default=0) <= limit, (w, sizes)
+
+
+def test_five_word_square_merges_at_most_four_entries(monkeypatch):
+    # the verb's open links wait for the later words to shrink the stack's
+    # top; merging at once would build an 8-entry intermediate here
+    name, fixture, mode, mask, bracing, goal, seeds = checks.SQUARES[1]
+    assert (name, fixture, mode) == ("five-word", "mori", "antihomomorphism")
+    sizes = []
+    merge = semantics._merge
+
+    def recording_merge(left, right):
+        data, labels = merge(left, right)
+        sizes.append(data.size)
+        return data, labels
+
+    monkeypatch.setattr(semantics, "_merge", recording_merge)
+    spaces, tensors, src_w, functor, tgt_w = checks.square(fixture, mode, mask, bracing, goal)
+    report = check_naturality(checks.square_alpha(spaces, seeds), src_w, tensors, functor, tgt_w,
+                              1e-9, bracing)
+    assert report.ok, report.max_residual
+    assert max(sizes) <= 4, sizes
 
 
 def test_interpret_subject_verb_object():
@@ -638,7 +659,8 @@ def test_translation_takes_the_image_and_searches_only_where_it_is_no_reduction(
     words = [f"w{i}" for i in range(len(types))]
     src = Lexicon("x", _TABLE, {w: LexiconEntry(w, (t,)) for w, t in zip(words, types)})
     result = translate_sentence(src, Lexicon("y", target, {}), functor,
-                                WordMap({w: w for w in words}), words, bracing, goal=goal)
+                                WordMap({w: w for w in words}), words, bracing,
+                                source_target=goal)
     image_type = result.translated.flatten()
     goal_image = (apply_antihomomorphism if functor.reverses else apply_homomorphism)(functor, goal)
     tgt_w = result.target_witness
