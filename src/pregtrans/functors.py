@@ -202,10 +202,15 @@ def apply_antihomomorphism(f: FunctorSpec, t: CompoundType) -> CompoundType:
 def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
     """Transform each brace segment, anti-homomorphically where the mask
     is true, then apply the post metarules to each segment once: the image
-    :func:`functor_image` takes of the segments as one word each."""
+    :func:`functor_image` takes of one word per simple type (an empty
+    segment one empty word), so its memo holds one entry per simple type."""
     if f.mode != "bracewise":
         raise FunctorError("functor is not brace-wise")
-    return functor_image(f, t.segments, range(1, len(t.segments))).image
+    words, cuts = [], []
+    for seg in t.segments:
+        cuts.append(len(words))
+        words += [CompoundType((p,)) for p in seg.parts] or [seg]
+    return functor_image(f, words, cuts[1:]).image
 
 
 def apply_functor(f: FunctorSpec, t: Type) -> Type:

@@ -63,24 +63,15 @@ def lcg_array(seed: int, shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceAssignment:
-    """Dimension per atom; all adjoints of an atom share its dimension."""
+    """A fixture's declared dimension per atom, shared by its adjoints."""
 
     dims: dict[str, int]
 
     @classmethod
-    def make(cls, dims: dict[str, int], table: AtomTable | None = None) -> "SpaceAssignment":
+    def make(cls, dims: dict[str, int]) -> "SpaceAssignment":
         for atom, dim in dims.items():
             if dim < 1:
                 raise SemanticsError(f"atom {atom!r} has non-positive dimension {dim}")
-        if table is not None:
-            for atom in table.atoms:
-                if atom not in dims:
-                    raise SemanticsError(f"atom {atom!r} has no assigned dimension")
-            for a, b in table.order_pairs:
-                if dims[a] != dims[b]:
-                    raise SemanticsError(
-                        f"order-related atoms {a!r} and {b!r} have different dimensions"
-                    )
         return cls(dict(sorted(dims.items())))
 
     def dim(self, atom: str) -> int:
@@ -142,13 +133,11 @@ def eta(dim: int) -> np.ndarray:
     return np.eye(dim)
 
 
-def interpret(
-    witness: ReductionWitness,
-    tensors: list[WordTensor],
-    spaces: SpaceAssignment,
-) -> np.ndarray:
+def interpret(witness: ReductionWitness, tensors: list[WordTensor]) -> np.ndarray:
     """Contract every linked axis pair of the sentence tensor, leaving the
-    residue axes in order: the meaning of the reduced phrase.
+    residue axes in order: the meaning of the reduced phrase.  Each axis's
+    dimension is read off its word tensor, and a link between axes of
+    different dimensions raises SemanticsError.
 
     The contraction order is read off the witness, with no path search.
     Word tensors are pushed left to right, and the top two stack entries
@@ -163,13 +152,11 @@ def interpret(
     entries laid out as (open, shared) and (shared, open) matrices.  A
     witness that is not a planar reduction of the concatenated word types
     raises SemanticsError."""
-    flat = concat(wt.type for wt in tensors)
-    n = len(flat)
+    dim = [d for wt in tensors for d in wt.data.shape]  # one axis per simple type
     try:
-        partner = witness.partners(n)
+        partner = witness.partners(len(dim))
     except WitnessError as exc:
         raise SemanticsError(f"witness is not a planar reduction of the word types: {exc}") from exc
-    dim = [spaces.dim(p.atom) for p in flat]
     for i, j in witness.links:
         if dim[i] != dim[j]:
             raise SemanticsError(f"link ({i}, {j}) pairs axes of dimensions {dim[i]} and {dim[j]}")
@@ -181,8 +168,6 @@ def interpret(
     stack: list[tuple[np.ndarray, list[int]]] = []
     pos = 0
     for wt in tensors:
-        if wt.data.shape != spaces.shape_of(wt.type):
-            raise SemanticsError(f"{wt.word!r}: tensor shape mismatch")
         data, labels = entry = _word_entry(wt.data, label[pos : pos + len(wt.type)])
         pos += len(wt.type)
         while stack and (not labels or not set(stack[-1][1]).isdisjoint(labels)):
@@ -262,9 +247,10 @@ def apply_alpha(
     image_type: CompoundType,
     reverse: bool,
 ) -> WordTensor:
-    """Carry a word tensor into the target model: even-exponent axes are
-    transformed by the atom's component map, odd-exponent axes by its
-    inverse transpose (so every epsilon pairing is preserved); axis order
+    """Carry a word tensor into the target model: each axis is carried by
+    its source simple type, through the atom's component map where the
+    exponent is even and its inverse transpose where it is odd (so every
+    epsilon pairing is preserved), whatever the image's exponent; axis order
     follows the functor image, whose parts are in reverse order when
     ``reverse`` (the image of a word in a reversed segment).  An override
     must have the image type and the shape of the carried tensor."""
@@ -285,23 +271,22 @@ def apply_alpha(
         raise SemanticsError(
             f"{t.word!r}: image type length {len(image_type)} != {len(t.type)}"
         )
-    axes = zip((p.atom for p in source_parts), (p.exponent for p in image_type.parts))
-    return WordTensor(t.word, image_type, _carry(alpha, data, axes))
+    return WordTensor(t.word, image_type, _carry(alpha, data, source_parts))
 
 
-def _carry(alpha: AlphaSpec, data: np.ndarray, axes) -> np.ndarray:
-    """Transform axis k of ``data`` by the component map of the k-th atom
-    in ``axes`` (atom, exponent) pairs, one pair per axis, or by its
-    inverse transpose where the exponent is odd, so every epsilon pairing
-    is preserved.  Each step is one matmul, (rest, leading axis) times the
+def _carry(alpha: AlphaSpec, data: np.ndarray, parts) -> np.ndarray:
+    """Transform axis k of ``data`` by the component map of the atom of
+    ``parts[k]``, one simple type per axis, or by its inverse transpose
+    where that simple type's exponent is odd, so every epsilon pairing is
+    preserved.  Each step is one matmul, (rest, leading axis) times the
     map's transpose, so the mapped axis comes last, and after one pass over
     all axes they are back in order."""
-    for atom, exponent in axes:
+    for p in parts:
         d, rest = data.shape[0], data.shape[1:]
-        mat = alpha.component(atom, exponent)
+        mat = alpha.component(p.atom, p.exponent)
         if len(mat) != d:
             raise SemanticsError(
-                f"component for {atom!r} is {len(mat)}x{len(mat)}, "
+                f"component for {p.atom!r} is {len(mat)}x{len(mat)}, "
                 f"but the axis it carries has dimension {d}"
             )
         data = (data.reshape(d, math.prod(rest)).T @ mat.T).reshape(rest + (d,))
@@ -316,15 +301,6 @@ class NaturalityReport:
     @property
     def ok(self) -> bool:
         return self.max_residual <= self.tolerance
-
-
-def _spaces_from_tensors(tensors: list[WordTensor]) -> SpaceAssignment:
-    dims: dict[str, int] = {}
-    for wt in tensors:
-        for part, size in zip(wt.type.parts, wt.data.shape):
-            if dims.setdefault(part.atom, size) != size:
-                raise SemanticsError(f"inconsistent dimensions for atom {part.atom!r}")
-    return SpaceAssignment.make(dims)
 
 
 def check_naturality(
@@ -346,7 +322,7 @@ def check_naturality(
     if functor.post_metarules:
         raise SemanticsError(f"post metarule {functor.post_metarules[0].kind!r} has no tensor map")
     types = [wt.type for wt in src_tensors]
-    meaning = interpret(src_witness, src_tensors, _spaces_from_tensors(src_tensors))
+    meaning = interpret(src_witness, src_tensors)
     _, _, where, order = functor_image(functor, types, bracing)
     translated = []
     for i, reverse in order:
@@ -359,9 +335,9 @@ def check_naturality(
 
     # translate the source meaning's residue, its axes in target order
     flat, residue = concat(types), src_witness.residue
-    meaning = _carry(alpha, meaning, ((flat[r].atom, flat[r].exponent) for r in residue))
+    meaning = _carry(alpha, meaning, [flat[r] for r in residue])
     meaning = meaning.transpose(sorted(range(meaning.ndim), key=lambda a: where[residue[a]]))
-    target_meaning = interpret(tgt_witness, translated, _spaces_from_tensors(translated))
+    target_meaning = interpret(tgt_witness, translated)
     residual = float(np.max(np.abs(meaning - target_meaning))) if meaning.size else 0.0
     return NaturalityReport(residual, tolerance)
 

@@ -325,7 +325,7 @@ def test_criterion_6_interpret_vs_brute_force():
         spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
         table = AtomTable(dict(spaces.dims).keys())
         w = reduce(concat(wt.type for wt in tensors), parse_type(target, table), table)
-        fast, slow = interpret(w, tensors, spaces), brute_force(w, tensors, spaces)
+        fast, slow = interpret(w, tensors), brute_force(w, tensors, spaces)
         worst = max(worst, float(np.max(np.abs(fast - slow))))
     report("criterion 6: interpret equals full index summation (tol 1e-12)",
            worst < 1e-12, f"max residual {worst:.2e}")

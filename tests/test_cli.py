@@ -420,6 +420,14 @@ def test_readme_cli_example_runs(runner, line):
     assert r.exit_code == 0, r.output
 
 
+def test_readme_library_example_prints_what_its_comment_says(capsys):
+    code = readme_section("Library").split("```python\n", 1)[1].split("```", 1)[0]
+    said = re.search(r"^print\(.*\)\s*# (.*)$", code, re.M)
+    assert said is not None
+    exec(code, {})
+    assert capsys.readouterr().out == said.group(1) + "\n"
+
+
 def test_readme_names_every_naturality_square():
     section = " ".join(readme_section("CLI").split())
     claim = re.search(r"`check naturality` checks (.*?) at `--tol`", section)

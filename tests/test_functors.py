@@ -1,6 +1,7 @@
 """Translation functors: images, laws, brace-wise application, end-to-end."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,24 @@ source_types = st.lists(
 def test_image_matches_iterated_adjoints(atom_map, t, reverse):
     f = FunctorSpec("x", "y", "homomorphism", atom_map, IMAGE_TARGET)
     assert _image(f, t, reverse) == reference_image(f, t, reverse)
+
+
+def test_bracewise_image_memo_holds_one_entry_per_simple_type():
+    f = FunctorSpec("x", "y", "bracewise", {"a": parse_type("x y^l", IMAGE_TARGET),
+                                            "b": parse_type("y^r", IMAGE_TARGET)},
+                    IMAGE_TARGET, (True, False))
+    rng = random.Random(3)
+    pairs = set()
+    for _ in range(500):
+        segments = tuple(CompoundType(tuple(
+            SimpleType(rng.choice("ab"), rng.randint(-2, 2), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 4)))) for _ in range(2))
+        image = apply_bracewise(f, BracedType(segments))
+        for seg, reverse, got in zip(segments, f.reversal_mask, image.segments):
+            assert got == reference_image(f, seg, reverse)
+            pairs |= {(p, reverse) for p in seg.parts} or {(None, reverse)}
+    # one entry per (simple type, reversed) pair, an empty segment's word as one more
+    assert len(f._images) <= len(pairs)
 
 
 # ---- overrides and the goal image ---------------------------------------------------

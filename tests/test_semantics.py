@@ -107,10 +107,7 @@ def test_lcg_matches_the_python_loop_bit_for_bit(seed, count):
 def test_space_assignment_validation():
     with pytest.raises(SemanticsError):
         SpaceAssignment.make({"n": 0})
-    table = AtomTable({"s1", "s"}, [("s1", "s")])
-    with pytest.raises(SemanticsError):
-        SpaceAssignment.make({"s1": 2, "s": 3}, table)  # related atoms differ
-    sp = SpaceAssignment.make({"s1": 2, "s": 2}, table)
+    sp = SpaceAssignment.make({"s1": 2, "s": 2})
     assert sp.dim("s1") == 2
     with pytest.raises(SemanticsError, match="no assigned dimension"):
         sp.dim("n")
@@ -121,6 +118,9 @@ def test_word_tensor_shape_checked():
     t = parse_type("n n^l", AtomTable({"n"}))
     with pytest.raises(SemanticsError):
         make_word_tensor("w", t, [1.0, 2.0], sp)
+    # interpret reads one dimension per simple type off the tensor's shape
+    with pytest.raises(SemanticsError, match=r"^'w': tensor has 1 axes, type 'n n\^l' has 2$"):
+        semantics.WordTensor("w", t, np.ones(2))
     wt = make_word_tensor("w", t, [[1.0, 0.0], [0.0, 1.0]], sp)
     assert wt.data.shape == (2, 2)
 
@@ -207,7 +207,7 @@ FIXTURES = [("pigeons", "s"), ("adj_noun", "n"), ("mori", "s")]
 
 
 def case_samples(words, goal):
-    """(witness, tensors, spaces) for every witness of a contraction case:
+    """(witness, tensors) for every witness of a contraction case:
     three random dimension sets (1-4 per atom), then every atom at dimension
     1, each with normal random word tensors."""
     rng = np.random.default_rng(0)
@@ -220,31 +220,31 @@ def case_samples(words, goal):
             spaces = SpaceAssignment.make(dims)
             tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
                        for i, t in enumerate(types)]
-            yield w, tensors, spaces
+            yield w, tensors
 
 
 def fixture_samples(name, target):
-    """(witness, tensors, spaces) for every witness of a bundled fixture."""
+    """(witness, tensors) for every witness of a bundled fixture."""
     spaces, tensors = load_tensor_fixture(bundled.tensor_path(name))
     table = AtomTable(dict(spaces.dims).keys())
     witnesses = enumerate_reductions(flat_type(tensors), parse_type(target, table), table)
     assert witnesses
     for w in witnesses:
-        yield w, tensors, spaces
+        yield w, tensors
 
 
 @pytest.mark.parametrize("name, words, goal", list(contraction_cases()))
 def test_interpret_matches_einsum_with_path_search(name, words, goal):
-    for w, tensors, spaces in case_samples(words, goal):
-        got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
+    for w, tensors in case_samples(words, goal):
+        got, want = interpret(w, tensors), einsum_greedy(w, tensors)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
 
 
 @pytest.mark.parametrize("name, target", FIXTURES)
 def test_interpret_matches_einsum_on_bundled_fixtures(name, target):
-    for w, tensors, spaces in fixture_samples(name, target):
-        got, want = interpret(w, tensors, spaces), einsum_greedy(w, tensors)
+    for w, tensors in fixture_samples(name, target):
+        got, want = interpret(w, tensors), einsum_greedy(w, tensors)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
 
@@ -268,9 +268,9 @@ def test_no_intermediate_is_larger_than_greedys_memory_limit(samples, words, goa
         return data, labels
 
     monkeypatch.setattr(semantics, "_merge", recording_merge)
-    for w, tensors, spaces in samples(words, goal):
+    for w, tensors in samples(words, goal):
         sizes.clear()
-        result = interpret(w, tensors, spaces)
+        result = interpret(w, tensors)
         # the cap numpy's greedy path search holds its intermediates to
         limit = max([wt.data.size for wt in tensors] + [result.size])
         assert max(sizes, default=0) <= limit, (w, sizes)
@@ -301,7 +301,7 @@ def test_interpret_subject_verb_object():
     spaces, tensors = load_tensor_fixture(bundled.tensor_path("pigeons"))
     table = AtomTable(dict(spaces.dims).keys())
     w = reduce(flat_type(tensors), parse_type("s", table), table)
-    v = interpret(w, tensors, spaces)
+    v = interpret(w, tensors)
     subj, verb, obj = (wt.data for wt in tensors)
     assert np.allclose(v, np.einsum("i,ijk,k->j", subj, verb, obj), atol=1e-12)
 
@@ -312,7 +312,7 @@ def test_interpret_matches_brute_force(name, target):
     table = AtomTable(dict(spaces.dims).keys())
     w = reduce(flat_type(tensors), parse_type(target, table), table)
     assert w is not None
-    assert np.max(np.abs(interpret(w, tensors, spaces) - brute_force(w, tensors, spaces))) < 1e-12
+    assert np.max(np.abs(interpret(w, tensors) - brute_force(w, tensors, spaces))) < 1e-12
 
 
 def test_interpret_invariant_under_link_order():
@@ -320,7 +320,7 @@ def test_interpret_invariant_under_link_order():
     table = AtomTable(dict(spaces.dims).keys())
     w = reduce(flat_type(tensors), parse_type("s", table), table)
     links = sorted(w.links)
-    base = interpret(w, tensors, spaces)
+    base = interpret(w, tensors)
     for order in [links, links[::-1], links[1:] + links[:1]]:
         alt = sequential_contract(w, tensors, spaces, order)
         assert np.max(np.abs(alt - base)) < 1e-12
@@ -331,7 +331,7 @@ def test_interpret_rejects_mismatched_witness():
     table = AtomTable(dict(spaces.dims).keys())
     w = reduce(flat_type(tensors), parse_type("s", table), table)
     with pytest.raises(SemanticsError):
-        interpret(w, tensors[:-1], spaces)
+        interpret(w, tensors[:-1])
 
 
 @pytest.mark.parametrize("links, residue", [
@@ -344,18 +344,11 @@ def test_interpret_rejects_witnesses_that_are_not_planar_reductions(links, resid
     t = parse_type("n n^r", table)
     tensors = [make_word_tensor(w, t, np.arange(4.0).reshape(2, 2), spaces) for w in "ab"]
     with pytest.raises(SemanticsError, match="not a planar reduction"):
-        interpret(ReductionWitness(frozenset(links), residue), tensors, spaces)
-
-
-def test_interpret_rejects_a_tensor_whose_shape_disagrees_with_the_spaces():
-    # built directly, the word tensor skips make_word_tensor's shape check
-    wt = semantics.WordTensor("w", parse_type("s", EN), np.ones(2))
-    with pytest.raises(SemanticsError, match=r"^'w': tensor shape mismatch$"):
-        interpret(ReductionWitness((), (0,)), [wt], SpaceAssignment.make({"s": 3}))
+        interpret(ReductionWitness(frozenset(links), residue), tensors)
 
 
 def test_interpret_of_no_words_is_the_scalar_one():
-    v = interpret(ReductionWitness((), ()), [], SpaceAssignment.make({"n": 2}))
+    v = interpret(ReductionWitness((), ()), [])
     assert v.shape == () and v == 1.0
 
 
@@ -368,7 +361,7 @@ def test_interpret_rejects_a_link_between_axes_of_different_dimensions():
     w = reduce(flat_type(tensors), CompoundType(), table)
     assert w == ReductionWitness(((0, 1),), ())
     with pytest.raises(SemanticsError, match=r"^link \(0, 1\) pairs axes of dimensions 2 and 3$"):
-        interpret(w, tensors, spaces)
+        interpret(w, tensors)
 
 
 # ---- alpha -----------------------------------------------------------------------
@@ -431,7 +424,7 @@ def test_apply_alpha_matches_inverting_each_axis(reverse):
         data, parts = wt.data, t.parts
         if reverse:
             data, parts = data.transpose(tuple(range(data.ndim - 1, -1, -1))), parts[::-1]
-        axes = [(p.atom, q.exponent) for p, q in zip(parts, image.parts)]
+        axes = [(p.atom, p.exponent) for p in parts]
         want = carry_by_inverting(components, data, axes)
         assert got.type == image and got.data.shape == want.shape
         assert np.max(np.abs(got.data - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
@@ -612,7 +605,7 @@ def test_the_image_of_every_reduction_is_a_reduction_of_the_image(functor, sente
     rng = np.random.default_rng(seed)
     dims = {t: int(rng.integers(1, 4)) for t in sorted(target.atoms)}
     dims[functor.atom_map["b"][0].atom] = dims[functor.atom_map["a"][0].atom]
-    spaces = SpaceAssignment.make({a: dims[functor.atom_map[a][0].atom] for a in "abcd"}, _TABLE)
+    spaces = SpaceAssignment.make({a: dims[functor.atom_map[a][0].atom] for a in "abcd"})
     tensors = [make_word_tensor(f"w{i}", t, rng.normal(size=spaces.shape_of(t)), spaces)
                for i, t in enumerate(types)]
     mats = {a: np.eye(spaces.dim(a)) + 0.3 * rng.uniform(-1, 1, (spaces.dim(a),) * 2)
@@ -723,7 +716,7 @@ def test_naturality_square_with_a_scalar_residue(mode, mask, bracing):
                             for a, d in dims.items()})
     want = brute_force(src_w, tensors, spaces)
     assert want.shape == ()
-    assert np.abs(interpret(src_w, tensors, spaces) - want) <= 1e-12 * max(abs(want), 1)
+    assert np.abs(interpret(src_w, tensors) - want) <= 1e-12 * max(abs(want), 1)
     report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9, bracing)
     assert report.max_residual <= 1e-12 * max(abs(want), 1)
 
@@ -752,6 +745,35 @@ def test_naturality_rejects_a_component_of_the_wrong_size():
     with pytest.raises(SemanticsError, match=r"component for 'n' is 2x2, but the axis it "
                                              r"carries has dimension 3"):
         check_naturality(AlphaSpec.make({"n": np.eye(2)}), w, tensors, hom, w, 1e-9)
+
+
+def test_naturality_rejects_words_whose_axes_of_one_atom_differ_in_dimension():
+    table = AtomTable({"n"})
+    tensors = [semantics.WordTensor(f"w{d}", parse_type("n", table), np.ones(d)) for d in (2, 3)]
+    w = ReductionWitness((), (0, 1))
+    hom = FunctorSpec("x", "y", "homomorphism", {"n": parse_type("n", table)}, table)
+    with pytest.raises(SemanticsError, match=r"component for 'n' is 2x2, but the axis it "
+                                             r"carries has dimension 3"):
+        check_naturality(AlphaSpec.make({"n": np.eye(2)}), w, tensors, hom, w, 1e-9)
+
+
+@pytest.mark.parametrize("mode", ["homomorphism", "antihomomorphism"])
+def test_naturality_carries_each_axis_by_its_source_simple_type(mode):
+    # F(a) = b^l: a's axis is carried by alpha_a, not by the inverse
+    # transpose its image's odd exponent would pick
+    source, target = AtomTable({"a", "c"}), AtomTable({"b", "d"})
+    functor = FunctorSpec("x", "y", mode, {"a": parse_type("b^l", target),
+                                           "c": parse_type("d", target)}, target)
+    spaces = SpaceAssignment.make({"a": 2, "c": 3})
+    types = [parse_type(t, source) for t in ("a c^l", "c")]
+    tensors = [make_word_tensor(f"w{i}", t, lcg_array(40 + i, spaces.shape_of(t)), spaces)
+               for i, t in enumerate(types)]
+    src_w = reduce(concat(types), parse_type("a", source), source)
+    tgt_w = image_witness(functor_image(functor, types).where, src_w)
+    alpha = AlphaSpec.make({a: np.eye(d) + 0.3 * lcg_array(50 + d, (d, d))
+                            for a, d in spaces.dims.items()})
+    report = check_naturality(alpha, src_w, tensors, functor, tgt_w, 1e-9)
+    assert report.max_residual <= 1e-12, report.max_residual
 
 
 def translated_square(name, sentence, goal, seed):
