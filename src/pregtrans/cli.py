@@ -34,6 +34,10 @@ from .reduction import DEFAULT_LIMIT, render_diagram, type_selections
 EXIT_CONFIG = 1
 EXIT_LINGUISTIC = 2
 
+# what json.dumps(s, ensure_ascii=False) does for a string s, without
+# building an encoder per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class CliError(click.ClickException):
     exit_code = EXIT_CONFIG
@@ -106,6 +110,7 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     goal = _goal(target, lex.table)
     exit_code = 0
     budget = limit if enumerate_all else 1
+    link_text = _LinkText()
     for line in _sentences(sentence):
         try:
             alternatives = [lex.alternatives(tok) for tok in line.split()]
@@ -113,28 +118,52 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
             click.echo(f"Error: {exc}", err=True)
             exit_code = EXIT_CONFIG
             continue
-        found = []  # (flat type, its rendering, witness)
+        found, count = [], 0  # (flat type, its rendering, its witnesses)
         for selection, search in type_selections(alternatives, goal, lex.table):
             flat = concat(selection)
-            shown = render_type(flat)
-            found.extend((flat, shown, w) for w in search.witnesses(budget - len(found)))
-            if len(found) >= budget:
+            witnesses = search.witnesses(budget - count)
+            found.append((flat, render_type(flat), witnesses))
+            count += len(witnesses)
+            if count >= budget:
                 break
-        if fmt == "json":  # json writes the witnesses' tuples as arrays
-            witnesses = [{"type": shown, "links": w.links, "residue": w.residue}
-                         for _, shown, w in found]
-            click.echo(json.dumps({"sentence": line, "reducible": bool(found),
-                                   "witnesses": witnesses}, ensure_ascii=False,
-                                  check_circular=False))
-        elif not found:
+        if fmt == "json":
+            click.echo(_json_parse_line(line, found, link_text))
+        elif not count:
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
-            for flat, _, w in found:
-                click.echo(render_diagram(flat, w, format="text" if fmt == "text" else "dot"))
-                click.echo()
-        if not found:
+            for flat, _, witnesses in found:
+                for w in witnesses:
+                    click.echo(render_diagram(flat, w, format=fmt))
+                    click.echo()
+        if not count:
             exit_code = exit_code or EXIT_LINGUISTIC
     sys.exit(exit_code)
+
+
+class _LinkText(dict):
+    """Each link's JSON text, ``(i, j) -> "[i, j]"``, made on first use."""
+
+    def __missing__(self, link):
+        text = self[link] = "[%d, %d]" % link
+        return text
+
+
+def _json_parse_line(line: str, found, link_text: _LinkText) -> str:
+    """One ``parse --format json`` line for ``found``, a list of (flat type,
+    its rendering, its witnesses) per type selection; the same text as
+    ``json.dumps`` (``ensure_ascii=False``) of ``{"sentence", "reducible",
+    "witnesses"}`` with a ``{"type", "links", "residue"}`` dict per witness,
+    written directly: the type once per selection, each distinct link once
+    in ``link_text``."""
+    items, text = [], link_text.__getitem__
+    for _, shown, witnesses in found:
+        head = '{"type": %s, "links": [' % _json_string(shown)
+        items.extend('%s%s], "residue": [%s]}' % (head, ", ".join(map(text, w.links)),
+                                                  ", ".join(map(str, w.residue)))
+                     for w in witnesses)
+    return ('{"sentence": %s, "reducible": %s, "witnesses": [%s]}'
+            % (_json_string(line), "true" if items else "false",
+               ", ".join(items)))
 
 
 @main.command(name="translate")

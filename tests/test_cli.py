@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from pregtrans.checks import SQUARES
-from pregtrans.cli import main
+from pregtrans.cli import _json_parse_line, _LinkText, main
+from pregtrans.core import concat, parse_plain_type, render_type
+from pregtrans.lexicon import UnknownWordError, load_lexicon
+from pregtrans.reduction import ReductionWitness, type_selections
 
 
 @pytest.fixture
@@ -68,6 +72,75 @@ def test_parse_all_respects_limit_across_type_selections(runner, tmp_path):
     one = [a for a in args if a != "--all"] + ["--limit", "0"]
     r = runner.invoke(main, one)
     assert r.exit_code == 0 and json.loads(r.output)["witnesses"][0] in every[:2]
+
+
+def _reference_line(line, found):
+    # the encoding cmd_parse made before it wrote its lines itself
+    witnesses = [{"type": shown, "links": w.links, "residue": w.residue}
+                 for _, shown, ws in found for w in ws]
+    return json.dumps({"sentence": line, "reducible": bool(witnesses),
+                       "witnesses": witnesses}, ensure_ascii=False, check_circular=False)
+
+
+_texts = st.text(st.one_of(st.sampled_from('"\\\n\x00é日\ud800^ '), st.characters()))
+_positions = st.integers(min_value=0, max_value=40)
+_witnesses = st.builds(ReductionWitness,
+                       st.lists(st.tuples(_positions, _positions), max_size=5).map(tuple),
+                       st.lists(_positions, max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, st.lists(st.tuples(st.none(), _texts, st.lists(_witnesses, max_size=3)),
+                        max_size=3))
+@example("a\ud800", [(None, "n", [ReductionWitness(((0, 1),), (2,))])])
+@example("", [(None, "x", [ReductionWitness((), ())]), (None, "y", [])])
+@example("", [(None, "y", [])])
+def test_json_parse_line_is_json_dumps_of_the_witness_dicts(line, found):
+    link_text = _LinkText()
+    assert _json_parse_line(line, found, link_text) == _reference_line(line, found)
+    # a second line reads the links' texts already made
+    assert _json_parse_line(line, found, link_text) == _reference_line(line, found)
+
+
+def test_parse_all_json_is_byte_identical_to_the_reference_encoding(runner, tmp_path):
+    # the two-selection lexicon of the test above, with a non-ASCII word; the
+    # batch mixes reducible lines, a non-reducible line and an unknown word
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps({
+        "language": "x", "atoms": ["n"],
+        "entries": [{"word": "old", "types": ["n n^l", "n n^l n n^r"]},
+                    {"word": "cats", "types": ["n"]},
+                    {"word": "chatsé", "types": ["n"]},
+                    {"word": "and", "types": ["n^r n n^l"]}],
+    }))
+    lines = ["old cats and cats", "cats and", "old dogs", "old chatsé and cats", "old cats"]
+    lexicon = load_lexicon(lex)
+    goal = parse_plain_type("n", lexicon.table)
+    with pytest.raises(UnknownWordError) as unknown:
+        lexicon.alternatives("dogs")
+    for limit in (1, 2, 4, 1024):
+        expected = []
+        for line in lines:
+            try:
+                alternatives = [lexicon.alternatives(tok) for tok in line.split()]
+            except UnknownWordError:
+                continue
+            found, count = [], 0
+            for selection, search in type_selections(alternatives, goal, lexicon.table):
+                ws = search.witnesses(limit - count)
+                found.append((None, render_type(concat(selection)), ws))
+                count += len(ws)
+                if count >= limit:
+                    break
+            expected.append(_reference_line(line, found))
+        r = runner.invoke(main, ["parse", "--lex", str(lex), "--target", "n", "--all",
+                                 "--limit", str(limit), "--format", "json"],
+                          input="\n".join(lines) + "\n")
+        assert r.exit_code == 1
+        assert r.stderr == f"Error: {unknown.value}\n"
+        assert r.stdout.splitlines() == expected
+        if limit >= 4:  # the type changes partway through the first line's list
+            assert len({w["type"] for w in json.loads(r.stdout.splitlines()[0])["witnesses"]}) == 2
 
 
 @pytest.mark.parametrize("lex, sentence", [
