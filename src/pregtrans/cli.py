@@ -29,7 +29,7 @@ from .functors import (
     translate_sentence,
 )
 from .lexicon import UnknownWordError, load_lexicon
-from .reduction import DEFAULT_LIMIT, render_diagram, type_selections
+from .reduction import DEFAULT_LIMIT, diagram_renderer, render_diagram, type_selections
 
 EXIT_CONFIG = 1
 EXIT_LINGUISTIC = 2
@@ -132,9 +132,9 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
             for flat, _, witnesses in found:
+                draw = diagram_renderer(flat, fmt)
                 for w in witnesses:
-                    click.echo(render_diagram(flat, w, format=fmt))
-                    click.echo()
+                    click.echo(draw(w) + "\n")
         if not count:
             exit_code = exit_code or EXIT_LINGUISTIC
     sys.exit(exit_code)

@@ -52,7 +52,7 @@ class JsonObject:
 
     @classmethod
     def read(cls, path, error: type[PregroupError] = PregroupError, items=None) -> "JsonObject":
-        path = Path(path)
+        path = path if isinstance(path, Path) else Path(path)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -107,11 +107,9 @@ class JsonObject:
         return self.wrap(name, parse_plain_type, self.get(name, str), table)
 
 
-_FORBIDDEN = set("^()<>")
-
-
-def _valid_atom_name(name: str) -> bool:
-    return bool(name) and not any(c.isspace() or c in _FORBIDDEN for c in name)
+# an atom name: no whitespace (``\s`` matches exactly the characters
+# ``str.isspace`` accepts) and none of ``^()<>``
+_ATOM_NAME = re.compile(r"[^\s^()<>]+")
 
 
 class _Index(dict):
@@ -139,26 +137,31 @@ class _Counts(dict):
     """simple type -> its count digit, and type or tuple of simple types (a
     type's parts, the faster key) -> its count code, filled on first
     lookup.  A digit is ``1 << 64 * (2 * class + beta)``, negated at odd
-    exponents, where the classes are the components of the atom order
-    ``up``; a code is the sum of its simple types' digits.  A contraction
-    or an induced step keeps each class and tag's sum of (-1)^exponent, so
-    a string reduces to a goal only if their codes are equal."""
+    exponents, where the classes are the connected components of the order
+    ``pairs`` over ``atoms``, numbered in the order of their least atoms; a
+    code is the sum of its simple types' digits.  A contraction or an
+    induced step keeps each class and tag's sum of (-1)^exponent, so a
+    string reduces to a goal only if their codes are equal."""
 
     __slots__ = ("shift",)
 
-    def __init__(self, up):
+    def __init__(self, atoms, pairs):
         super().__init__()
-        self.shift = {}  # atom -> 128 * its class
+        near: dict[str, list[str]] = {}  # atom -> the atoms a pair joins it to
+        for a, b in pairs:
+            near.setdefault(a, []).append(b)
+            near.setdefault(b, []).append(a)
+        shift = self.shift = {}  # atom -> 128 * its class
         classes = 0
-        for a in sorted(up):
-            if a in self.shift:
+        for a in sorted(atoms):
+            if a in shift:
                 continue
             todo = [a]
             while todo:
                 b = todo.pop()
-                if b not in self.shift:
-                    self.shift[b] = 128 * classes
-                    todo += [c for c in up if b in up[c] or c in up[b]]
+                if b not in shift:
+                    shift[b] = 128 * classes
+                    todo += near.get(b, ())
             classes += 1
 
     def __missing__(self, x):
@@ -190,7 +193,7 @@ class AtomTable:
     def __init__(self, atoms: Iterable[str], order_pairs: Iterable[tuple[str, str]] = ()):
         self.atoms = frozenset(atoms)
         for name in self.atoms:
-            if not _valid_atom_name(name):
+            if _ATOM_NAME.fullmatch(name) is None:
                 raise PregroupError(f"invalid atom name {name!r}")
         self.order_pairs = frozenset(tuple(p) for p in order_pairs)
         for a, b in self.order_pairs:
@@ -199,20 +202,22 @@ class AtomTable:
                     raise UnknownAtomError(name)
         self._up = self._close()
         # partners[x]: every y with contracts(x, y); counts[x]: x's count
-        # digit, or code for a type; both filled on first use
+        # digit, or code for a type; tokens[text]: the simple type a valid
+        # token such as "b(n)^l" parses to; all three filled on first use
         self.partners = _Index(self._up)
-        self.counts = _Counts(self._up)
+        self.counts = _Counts(self.atoms, self.order_pairs)
+        self.tokens: dict[str, SimpleType] = {}
 
     def _close(self) -> dict[str, frozenset[str]]:
-        succ: dict[str, set[str]] = {a: set() for a in self.atoms}
+        succ: dict[str, set[str]] = {}
         for a, b in self.order_pairs:
-            succ[a].add(b)
-        up = {}
-        for start in self.atoms:
+            succ.setdefault(a, set()).add(b)
+        up = {a: frozenset((a,)) for a in self.atoms}  # kept for an atom below no other
+        for start in succ:
             seen = {start}
             stack = [start]
             while stack:
-                for nxt in succ[stack.pop()]:
+                for nxt in succ.get(stack.pop(), ()):
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
@@ -355,50 +360,66 @@ _SIMPLE = re.compile(r"(b\()?([^\s^()<>]+)(\))?((?:\^[lr])*)\Z")
 
 
 def _parse_simple(token: str, table: AtomTable, pos: int) -> SimpleType:
+    if token in table.atoms:  # a plain atom: no tag, no adjoint
+        return SimpleType(token)
     m = _SIMPLE.match(token)
     if m is None:
         raise TypeParseError(f"malformed token {token!r}", pos)
     opened, name, closed, suffix = m.groups()
-    if bool(opened) != bool(closed):
+    if (opened is None) != (closed is None):
         raise TypeParseError(f"unbalanced 'b(' in token {token!r}", pos)
-    if name not in table:
+    if name not in table.atoms:
         raise TypeParseError(f"unknown atom {name!r}", pos)
-    exponent = suffix.count("^r") - suffix.count("^l")
-    return SimpleType(name, exponent, beta=bool(opened))
+    return SimpleType(name, suffix.count("^r") - suffix.count("^l"), opened is not None)
 
 
 def parse_type(text: str, table: AtomTable) -> Type:
     """Parse a type string; `< ... >` groups produce a :class:`BracedType`.
+    Each distinct valid token is parsed once per table and kept in
+    ``table.tokens``.
 
     >>> table = AtomTable({"n", "s"})
     >>> parse_type("n n^r s", table).render()
     'n n^r s'
+    >>> sorted(table.tokens)
+    ['n', 'n^r', 's']
+    >>> parse_type("< n > s^x", table)
+    Traceback (most recent call last):
+    ...
+    pregtrans.core.TypeParseError: material outside brace segments (at position 6)
     """
+    known = table.tokens
+    parts = tuple(map(known.get, text.split()))
+    if None not in parts:  # known tokens only: no braces and nothing to check
+        return CompoundType(parts)
     segments: list[CompoundType] = []
     current: list[SimpleType] = []
     in_brace = False
     braced = False
     for m in _TOKEN.finditer(text):
-        token, pos = m.group(), m.start()
+        token = m.group()
         if token == "<":
             if in_brace:
-                raise TypeParseError("brace segments may not nest", pos)
+                raise TypeParseError("brace segments may not nest", m.start())
             if current:
-                raise TypeParseError("material outside brace segments", pos)
+                raise TypeParseError("material outside brace segments", m.start())
             in_brace = True
             braced = True
         elif token == ">":
             if not in_brace:
-                raise TypeParseError("unmatched '>'", pos)
+                raise TypeParseError("unmatched '>'", m.start())
             if not current:
-                raise TypeParseError("empty brace segment", pos)
+                raise TypeParseError("empty brace segment", m.start())
             segments.append(CompoundType(tuple(current)))
             current = []
             in_brace = False
         else:
             if braced and not in_brace:
-                raise TypeParseError("material outside brace segments", pos)
-            current.append(_parse_simple(token, table, pos))
+                raise TypeParseError("material outside brace segments", m.start())
+            simple = known.get(token)
+            if simple is None:  # only a valid token goes in
+                simple = known[token] = _parse_simple(token, table, m.start())
+            current.append(simple)
     if in_brace:
         raise TypeParseError("unclosed '<'", len(text))
     if braced:

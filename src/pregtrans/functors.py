@@ -67,7 +67,8 @@ class FunctorSpec:
     # untagged source simple type -> its image, in place of the computed one
     simple_overrides: dict[SimpleType, CompoundType] = field(default_factory=dict)
     # (word type's parts, reversed) -> its image's parts and whether each
-    # part maps to one simple type, filled by functor_image
+    # part maps to one simple type, filled by functor_image and, for the
+    # goal, translate_sentence
     _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -299,6 +300,15 @@ class FunctorImage(NamedTuple):
     order: list[tuple[int, bool]]
 
 
+def _remember(f: FunctorSpec, t: CompoundType, reverse: bool):
+    """``t``'s image parts and whether each part of ``t`` maps to one simple
+    type, kept in ``f._images``: a functor does not change."""
+    found = f._images[t.parts, reverse] = (
+        _image(f, t, reverse).parts,
+        all(len(_image(f, CompoundType((p,)), False)) == 1 for p in t.parts))
+    return found
+
+
 def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -> FunctorImage:
     """The word ``types`` cut into brace segments at ``bracing``, their image
     under ``f``, the position map and the order, in one walk over the words
@@ -307,7 +317,11 @@ def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -
     fires on a segment and exchanges its first two simple types exchanges
     their positions.  The map is None when some simple type's image is not
     one simple type, or another post metarule changes a segment."""
-    bounds = segment_bounds(len(types), bracing)
+    return _functor_image(f, types, segment_bounds(len(types), bracing))
+
+
+def _functor_image(f: FunctorSpec, types: Sequence[CompoundType], bounds) -> FunctorImage:
+    # functor_image with the cuts' segment bounds already made
     images, rules, table = f._images, f.post_metarules, f.target_table
     source, segments, where, order = [], [], [], []
     for reverse, (a, b) in zip(f.mask(len(bounds)), bounds):
@@ -317,11 +331,7 @@ def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -
         for i in range(b - 1, a - 1, -1) if reverse else range(a, b):
             order.append((i, reverse))
             t = types[i]
-            found = images.get((t.parts, reverse))
-            if found is None:  # a functor does not change
-                found = images[t.parts, reverse] = (
-                    _image(f, t, reverse).parts,
-                    all(len(_image(f, CompoundType((p,)), False)) == 1 for p in t.parts))
+            found = images.get((t.parts, reverse)) or _remember(f, t, reverse)
             parts += found[0]
             if not found[1]:
                 where = None
@@ -374,7 +384,8 @@ def translate_sentence(
     as under a non-functorial override or where image links cross, is the
     image searched with :func:`reduce`.  A failing target reduction is
     reported as a diagnostic, not an error."""
-    f.mask(len(segment_bounds(len(tokens), bracing)))  # a bad cut or mask fails first
+    bounds = segment_bounds(len(tokens), bracing)
+    f.mask(len(bounds))  # a bad cut or mask fails first
     goal = (parse_plain_type(source_target, lex_src.table) if isinstance(source_target, str)
             else source_target)
     alternatives = [lex_src.alternatives(tok) for tok in tokens]
@@ -387,9 +398,10 @@ def translate_sentence(
         )
     witness = search.witnesses(1)[0]
 
-    source_braced, translated, where, order = functor_image(f, chosen, bracing)
+    source_braced, translated, where, order = _functor_image(f, chosen, bounds)
     flat = translated.flatten()
-    goal_image = _image(f, goal, f.reverses)
+    goal_image = CompoundType(
+        (f._images.get((goal.parts, f.reverses)) or _remember(f, goal, f.reverses))[0])
     target_witness = None
     if where is not None:
         target_witness = image_witness(where, witness)

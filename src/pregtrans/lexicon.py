@@ -30,7 +30,10 @@ from __future__ import annotations
 import difflib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
     AtomTable,
@@ -121,6 +124,11 @@ class Metarule:
         if self.kind == "atom-expansion":
             self._replacement(table)
 
+    @cached_property
+    def _cases(self) -> frozenset[str]:
+        # an argument-swap's case atoms, as a set made once per rule
+        return frozenset(self.params["cases"])
+
     def _replacement(self, table: AtomTable) -> CompoundType:
         # an atom-expansion's replacement, parsed once per rule
         if self._parsed is None:
@@ -134,7 +142,7 @@ class Metarule:
         out: list[CompoundType] = []
         parts = t.parts
         if self.kind == "argument-swap":
-            cases = set(p["cases"])
+            cases = self._cases
             head = p["head"]
             if (
                 len(parts) >= 3
@@ -184,8 +192,10 @@ class Metarule:
         return derived[0] if derived else t
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
+    """A word, its types and its aliases (a named tuple: a load makes one
+    per entry, at half the cost of a frozen dataclass)."""
+
     word: str
     types: tuple[CompoundType, ...]
     aliases: tuple[str, ...] = ()
@@ -271,6 +281,19 @@ class Lexicon:
         }
 
 
+_parts = attrgetter("parts")
+
+
+def _strings(value) -> bool:
+    """Whether ``value`` is a JSON list of strings."""
+    if type(value) is not list:
+        return False
+    for v in value:
+        if type(v) is not str:
+            return False
+    return True
+
+
 def load_lexicon(path: str | Path) -> Lexicon:
     """The lexicon in the JSON file at ``path``: a malformed file raises
     at once, grammar errors are collected (see the module docstring)."""
@@ -284,9 +307,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
         pairs.append(tuple(pair))
     entries = []
     for i, raw in enumerate(doc.get("entries", list, items=dict)):
-        entry = JsonObject(raw, f"{doc.where}: entries[{i}]", LexiconError)
-        entries.append((entry.get("word", str), entry.get("types", list, items=str),
-                        tuple(entry.get("aliases", list, items=str, default=[]))))
+        word, texts, aliases = raw.get("word"), raw.get("types"), raw.get("aliases", [])
+        if not (type(word) is str and _strings(texts) and _strings(aliases)):
+            # the same checks again, through JsonObject, for its message
+            entry = JsonObject(raw, f"{doc.where}: entries[{i}]", LexiconError)
+            word, texts = entry.get("word", str), entry.get("types", list, items=str)
+            aliases = entry.get("aliases", list, items=str, default=[])
+        entries.append((word, texts, tuple(aliases)))
     rules = [Metarule.from_json(JsonObject(raw, f"{doc.where}: metarules[{i}]", LexiconError))
              for i, raw in enumerate(doc.get("metarules", list, items=dict, default=[]))]
     empty_texts = doc.get("empty_words", list, items=str, default=[])
@@ -303,13 +330,14 @@ def load_lexicon(path: str | Path) -> Lexicon:
         except PregroupError:
             raise LexiconError(f"{doc.where}: " + "; ".join(errors)) from exc
 
-    def parsed(texts: list[str], what: str) -> list[CompoundType]:
+    def parsed(texts: list[str], what: str, *args) -> list[CompoundType]:
+        # the types that parse; ``what % args`` heads the error of each that does not
         types = []
         for text in texts:
             try:
                 types.append(parse_plain_type(text, table))
             except PregroupError as exc:
-                errors.append(f"{what}: {exc}")
+                errors.append(f"{what % args}: {exc}")
         return types
 
     words: dict[str, LexiconEntry] = {}
@@ -317,12 +345,13 @@ def load_lexicon(path: str | Path) -> Lexicon:
         if not word:
             errors.append(f"entries[{i}]: entry with empty word")
             continue
-        where = f"entries[{i}]: field 'types': word {word!r}"
-        types = parsed(texts, where)
+        types = parsed(texts, "entries[%d]: field 'types': word %r", i, word)
         if not types:
-            errors.append(f"{where} has no valid types")
+            errors.append(f"entries[{i}]: field 'types': word {word!r} has no valid types")
             continue
-        made = LexiconEntry(word, tuple(sorted(set(types))), aliases)
+        if len(types) > 1:  # in the dataclass order, which compares (parts,)
+            types = sorted(set(types), key=_parts)
+        made = LexiconEntry(word, tuple(types), aliases)
         if word in words and words[word] != made:
             errors.append(f"entries[{i}]: duplicate word {word!r} with conflicting entry")
             continue

@@ -366,24 +366,30 @@ def reduce(input: Type, target: CompoundType, table: AtomTable) -> ReductionWitn
 def render_diagram(input: Type, w: ReductionWitness, format: str = "text") -> str:
     """Render a reduction witness; ``text`` draws ASCII under-brackets,
     ``dot`` emits a deterministic graph description."""
-    parts = flatten(input).parts
-    partner = w.partners(len(parts))
+    return diagram_renderer(input, format)(w)
+
+
+def diagram_renderer(input: Type, format: str = "text"):
+    """The function ``w -> render_diagram(input, w, format)``, with what
+    depends on ``input`` alone, its row of simple types or its dot node
+    lines, made once for every witness it renders."""
+    tokens = [p.render() for p in flatten(input).parts]
     if format == "dot":
-        return _render_dot(parts, w)
+        nodes = ["graph reduction {", *(f'  t{i} [label="{tok}"];' for i, tok in enumerate(tokens))]
+        return lambda w: _render_dot(nodes, w)
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
-    return _render_text(parts, w, partner)
-
-
-def _render_text(parts, w: ReductionWitness, partner: list[int]) -> str:
-    tokens = [p.render() for p in parts]
     cols = []
     offset = 0
     for tok in tokens:
         cols.append(offset + (len(tok) - 1) // 2)
         offset += len(tok) + 1
-    width = offset - 1
+    row = " ".join(tokens)
+    return lambda w: _render_text(row, cols, offset - 1, w)
 
+
+def _render_text(row: str, cols: list[int], width: int, w: ReductionWitness) -> str:
+    partner = w.partners(len(cols))
     # a link's row is 1 + the highest row nested directly inside it, 0 if
     # none; the scan closes links innermost first
     rows: dict[int, list[Link]] = {}
@@ -397,7 +403,7 @@ def _render_text(parts, w: ReductionWitness, partner: list[int]) -> str:
             rows.setdefault(r, []).append((q, p))
     if w.residue:
         rows[len(rows)] = []  # a last row of residue strands only
-    lines = [" ".join(tokens)]
+    lines = [row]
     for r in range(len(rows)):
         line = [" "] * width
         for i, j in rows[r]:
@@ -411,10 +417,9 @@ def _render_text(parts, w: ReductionWitness, partner: list[int]) -> str:
     return "\n".join(lines)
 
 
-def _render_dot(parts, w: ReductionWitness) -> str:
-    lines = ["graph reduction {"]
-    for i, p in enumerate(parts):
-        lines.append(f'  t{i} [label="{p.render()}"];')
+def _render_dot(nodes: list[str], w: ReductionWitness) -> str:
+    w.partners(len(nodes) - 1)  # a witness that is not a planar reduction fails here
+    lines = list(nodes)
     for i, j in w.links:
         lines.append(f"  t{i} -- t{j};")
     for i in w.residue:

@@ -14,7 +14,7 @@ from pregtrans.checks import SQUARES
 from pregtrans.cli import _json_parse_line, _LinkText, main
 from pregtrans.core import concat, parse_plain_type, render_type
 from pregtrans.lexicon import UnknownWordError, load_lexicon
-from pregtrans.reduction import ReductionWitness, type_selections
+from pregtrans.reduction import ReductionWitness, render_diagram, type_selections
 
 
 @pytest.fixture
@@ -102,37 +102,48 @@ def test_json_parse_line_is_json_dumps_of_the_witness_dicts(line, found):
     assert _json_parse_line(line, found, link_text) == _reference_line(line, found)
 
 
-def test_parse_all_json_is_byte_identical_to_the_reference_encoding(runner, tmp_path):
-    # the two-selection lexicon of the test above, with a non-ASCII word; the
-    # batch mixes reducible lines, a non-reducible line and an unknown word
-    lex = tmp_path / "lex.json"
-    lex.write_text(json.dumps({
-        "language": "x", "atoms": ["n"],
-        "entries": [{"word": "old", "types": ["n n^l", "n n^l n n^r"]},
-                    {"word": "cats", "types": ["n"]},
-                    {"word": "chatsé", "types": ["n"]},
-                    {"word": "and", "types": ["n^r n n^l"]}],
-    }))
-    lines = ["old cats and cats", "cats and", "old dogs", "old chatsé and cats", "old cats"]
-    lexicon = load_lexicon(lex)
+# the two-selection lexicon of the test above, with a non-ASCII word; the
+# batch mixes reducible lines, a non-reducible line and an unknown word
+MIXED_LEXICON = {
+    "language": "x", "atoms": ["n"],
+    "entries": [{"word": "old", "types": ["n n^l", "n n^l n n^r"]},
+                {"word": "cats", "types": ["n"]},
+                {"word": "chatsé", "types": ["n"]},
+                {"word": "and", "types": ["n^r n n^l"]}],
+}
+MIXED_LINES = ["old cats and cats", "cats and", "old dogs", "old chatsé and cats", "old cats",
+               "old cats and cats and cats and cats"]
+
+
+def _found(lexicon, line, limit):
+    """(flat type, its rendering, its witnesses) per type selection of
+    ``line`` to n, up to ``limit`` witnesses in all, or None for a line
+    with an unknown word."""
+    try:
+        alternatives = [lexicon.alternatives(tok) for tok in line.split()]
+    except UnknownWordError:
+        return None
+    found, count = [], 0
     goal = parse_plain_type("n", lexicon.table)
+    for selection, search in type_selections(alternatives, goal, lexicon.table):
+        ws = search.witnesses(limit - count)
+        found.append((concat(selection), render_type(concat(selection)), ws))
+        count += len(ws)
+        if count >= limit:
+            break
+    return found
+
+
+def test_parse_all_json_is_byte_identical_to_the_reference_encoding(runner, tmp_path):
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps(MIXED_LEXICON))
+    lines = MIXED_LINES
+    lexicon = load_lexicon(lex)
     with pytest.raises(UnknownWordError) as unknown:
         lexicon.alternatives("dogs")
     for limit in (1, 2, 4, 1024):
-        expected = []
-        for line in lines:
-            try:
-                alternatives = [lexicon.alternatives(tok) for tok in line.split()]
-            except UnknownWordError:
-                continue
-            found, count = [], 0
-            for selection, search in type_selections(alternatives, goal, lexicon.table):
-                ws = search.witnesses(limit - count)
-                found.append((None, render_type(concat(selection)), ws))
-                count += len(ws)
-                if count >= limit:
-                    break
-            expected.append(_reference_line(line, found))
+        expected = [_reference_line(line, found) for line in lines
+                    if (found := _found(lexicon, line, limit)) is not None]
         r = runner.invoke(main, ["parse", "--lex", str(lex), "--target", "n", "--all",
                                  "--limit", str(limit), "--format", "json"],
                           input="\n".join(lines) + "\n")
@@ -141,6 +152,28 @@ def test_parse_all_json_is_byte_identical_to_the_reference_encoding(runner, tmp_
         assert r.stdout.splitlines() == expected
         if limit >= 4:  # the type changes partway through the first line's list
             assert len({w["type"] for w in json.loads(r.stdout.splitlines()[0])["witnesses"]}) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+def test_parse_all_diagrams_are_each_witness_rendered_alone(runner, tmp_path, fmt):
+    # the row of simple types (the dot node lines) is made once per type
+    # selection; the output is each witness's render_diagram
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps(MIXED_LEXICON))
+    lexicon = load_lexicon(lex)
+    for limit in (1, 2, 4, 7, 1024):
+        expected = ""
+        for line in MIXED_LINES:
+            found = _found(lexicon, line, limit)
+            if found == []:
+                expected += f"not reducible: {line!r} does not reduce to 'n'\n"
+            for flat, _, ws in found or ():
+                expected += "".join(render_diagram(flat, w, format=fmt) + "\n\n" for w in ws)
+        r = runner.invoke(main, ["parse", "--lex", str(lex), "--target", "n", "--all",
+                                 "--limit", str(limit), "--format", fmt],
+                          input="\n".join(MIXED_LINES) + "\n")
+        assert r.exit_code == 1
+        assert r.stdout == expected
 
 
 @pytest.mark.parametrize("lex, sentence", [

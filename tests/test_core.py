@@ -1,13 +1,19 @@
 """Type algebra: adjoints, ordering, contraction, parsing."""
 
-import pytest
-from hypothesis import given, strategies as st
+import doctest
+import re
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import pregtrans.core
 from pregtrans.core import (
     AtomTable,
     BracedType,
     CompoundType,
     CyclicOrderError,
+    PregroupError,
     SimpleType,
     TypeParseError,
     UnknownAtomError,
@@ -214,3 +220,128 @@ def test_render_parse_roundtrip(t):
 def test_render_iterated_adjoints():
     assert SimpleType("n", -2).render() == "n^l^l"
     assert SimpleType("n", 2, True).render() == "b(n)^r^r"
+
+
+# ---- the parser against the scanner it replaced ---------------------------
+
+_REFERENCE_TOKEN = re.compile(r"<|>|[^\s<>]+")
+_REFERENCE_SIMPLE = re.compile(r"(b\()?([^\s^()<>]+)(\))?((?:\^[lr])*)\Z")
+
+
+def _reference_simple(token, table, pos):
+    m = _REFERENCE_SIMPLE.match(token)
+    if m is None:
+        raise TypeParseError(f"malformed token {token!r}", pos)
+    opened, name, closed, suffix = m.groups()
+    if bool(opened) != bool(closed):
+        raise TypeParseError(f"unbalanced 'b(' in token {token!r}", pos)
+    if name not in table:
+        raise TypeParseError(f"unknown atom {name!r}", pos)
+    exponent = suffix.count("^r") - suffix.count("^l")
+    return SimpleType(name, exponent, beta=bool(opened))
+
+
+def reference_parse_type(text, table):
+    """``parse_type`` as it was before tokens were kept per table: one
+    scan, every token parsed where it stands."""
+    segments, current = [], []
+    in_brace = braced = False
+    for m in _REFERENCE_TOKEN.finditer(text):
+        token, pos = m.group(), m.start()
+        if token == "<":
+            if in_brace:
+                raise TypeParseError("brace segments may not nest", pos)
+            if current:
+                raise TypeParseError("material outside brace segments", pos)
+            in_brace = braced = True
+        elif token == ">":
+            if not in_brace:
+                raise TypeParseError("unmatched '>'", pos)
+            if not current:
+                raise TypeParseError("empty brace segment", pos)
+            segments.append(CompoundType(tuple(current)))
+            current, in_brace = [], False
+        else:
+            if braced and not in_brace:
+                raise TypeParseError("material outside brace segments", pos)
+            current.append(_reference_simple(token, table, pos))
+    if in_brace:
+        raise TypeParseError("unclosed '<'", len(text))
+    return BracedType(tuple(segments)) if braced else CompoundType(tuple(current))
+
+
+def _outcome(parse, text, table):
+    try:
+        return parse(text, table)
+    except PregroupError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# known and unknown atoms, adjoint suffixes, beta tags, braces, whitespace
+# (some of it beyond ASCII) and junk
+PIECES = ["n", "s", "s1", "pi", "q", "ns", "b(", ")", "^l", "^r", "^", "^x", "(", "b", "<", ">",
+          " ", " ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u200b", "é"]
+TYPE_TEXTS = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+
+
+@settings(max_examples=400)
+@given(TYPE_TEXTS, TYPE_TEXTS)
+def test_parse_type_agrees_with_the_reference_scanner(first, text):
+    # a fresh table, one that has parsed another text first, and TABLE,
+    # which keeps the tokens of every example before this one
+    fresh, primed = AtomTable(TABLE.atoms, TABLE.order_pairs), AtomTable(TABLE.atoms)
+    _outcome(parse_type, first, primed)
+    for table in (fresh, primed, TABLE):
+        for _ in range(2):  # a second parse finds the tokens kept
+            assert _outcome(parse_type, text, table) == _outcome(reference_parse_type, text, table)
+
+
+def test_tokens_are_kept_per_table():
+    a, b = AtomTable({"n", "q"}), AtomTable({"n"})
+    assert parse_type("q^r n", a) == CompoundType((SimpleType("q", 1), SimpleType("n")))
+    assert set(a.tokens) == {"q^r", "n"}
+    with pytest.raises(TypeParseError, match=r"unknown atom 'q' \(at position 2\)"):
+        parse_type("n q^r", b)
+    assert set(b.tokens) == {"n"}  # a token that fails does not go in
+    with pytest.raises(TypeParseError, match="malformed token"):
+        parse_type("n^x", a)
+    assert set(a.tokens) == {"q^r", "n"}
+
+
+def test_atom_name_pattern_matches_isspace_on_every_code_point():
+    # an atom name refuses exactly the characters it did when each one
+    # was tested with str.isspace
+    for code in range(sys.maxunicode + 1):
+        c = chr(code)
+        refused = c.isspace() or c in "^()<>"
+        assert (pregtrans.core._ATOM_NAME.fullmatch(c) is None) == refused, hex(code)
+
+
+def _reference_classes(table):
+    """Each atom's order class, numbered as the count digits number them,
+    found the way they were before: a scan of every atom per atom."""
+    up, shift, classes = table._up, {}, 0
+    for a in sorted(up):
+        if a in shift:
+            continue
+        todo = [a]
+        while todo:
+            b = todo.pop()
+            if b not in shift:
+                shift[b] = 128 * classes
+                todo += [c for c in up if b in up[c] or c in up[b]]
+        classes += 1
+    return shift
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10))
+def test_count_classes_are_the_components_of_the_order(edges):
+    atoms = [f"a{i}" for i in range(8)]
+    pairs = [(atoms[i], atoms[j]) for i, j in edges if i < j]  # acyclic
+    table = AtomTable(atoms, pairs)
+    assert table.counts.shift == _reference_classes(table)
+
+
+def test_core_doctests_pass():
+    result = doctest.testmod(pregtrans.core)
+    assert result.attempted > 0 and result.failed == 0

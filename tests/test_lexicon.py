@@ -103,6 +103,42 @@ def test_bad_entry_names_its_index(tmp_path, entries, message):
     assert str(p) in str(exc.value) and message in str(exc.value)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([{"word": "v", "types": ["a"]}, "v"], "field 'entries': expected a JSON list of objects"),
+    ([{"word": 3, "types": ["a"]}], "entries[0]: field 'word': expected a JSON string"),
+    ([{"types": ["a"]}], "entries[0]: missing field 'word'"),
+    ([{"word": "v", "types": ["a"]}, {"word": None, "types": 1}],
+     "entries[1]: field 'word': expected a JSON string"),
+    ([{"word": "v", "types": "a"}], "entries[0]: field 'types': expected a JSON list of strings"),
+    ([{"word": "v"}], "entries[0]: missing field 'types'"),
+    ([{"word": "v", "types": ["a", 1]}],
+     "entries[0]: field 'types': expected a JSON list of strings"),
+    ([{"word": "v", "types": ["a"], "aliases": "w"}],
+     "entries[0]: field 'aliases': expected a JSON list of strings"),
+    ([{"word": "v", "types": ["a"], "aliases": ["w", True]}],
+     "entries[0]: field 'aliases': expected a JSON list of strings"),
+    ([{"word": "v", "types": ["a"], "aliases": None}],
+     "entries[0]: field 'aliases': expected a JSON list of strings"),
+    ([{"word": "v", "types": [2], "aliases": 3}],  # the fields are checked in this order
+     "entries[0]: field 'types': expected a JSON list of strings"),
+])
+def test_entry_shape_errors_name_the_entry_and_field(tmp_path, entries, message):
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps({"atoms": ["a"], "entries": entries}))
+    with pytest.raises(LexiconError) as exc:
+        load_lexicon(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_entry_types_are_sorted_and_deduplicated(tmp_path):
+    p = tmp_path / "sorted.json"
+    p.write_text(json.dumps({"atoms": ["a", "b"], "entries": [
+        {"word": "v", "types": ["b a^r", "a", "a b", "b^l", "a", "b(a)"]}]}))
+    types = load_lexicon(p).entries["v"].types
+    assert [render_type(t) for t in types] == ["a", "a b", "b(a)", "b^l", "b a^r"]
+    assert list(types) == sorted(set(types))  # the order CompoundType compares in
+
+
 def test_lexicon_file_that_is_not_utf8_names_the_file(tmp_path):
     p = tmp_path / "latin1.json"
     p.write_bytes('{"atoms": ["a"], "entries": [{"word": "caf\u00e9", "types": ["a"]}]}'
