@@ -172,7 +172,11 @@ def _image(f: FunctorSpec, t: CompoundType, reverse: bool) -> CompoundType:
     override, or else to the z-th adjoint of F(a) (exponents shifted by z,
     order reversed when z is odd), and a β tag on the part tags its whole
     image.  With ``reverse`` the parts map in reverse order with negated
-    exponents, as under an anti-homomorphism."""
+    exponents, as under an anti-homomorphism.  A word image that
+    :func:`functor_image` has memoised is read from its memo, never written."""
+    found = f._images.get((t.parts, reverse))
+    if found is not None:
+        return CompoundType(found[0])
     overrides = f.simple_overrides
     out = []
     for p in reversed(t.parts) if reverse else t.parts:

@@ -385,35 +385,34 @@ def diagram_renderer(input: Type, format: str = "text"):
         cols.append(offset + (len(tok) - 1) // 2)
         offset += len(tok) + 1
     row = " ".join(tokens)
-    return lambda w: _render_text(row, cols, offset - 1, w)
+    return lambda w: _render_text(row, cols, w)
 
 
-def _render_text(row: str, cols: list[int], width: int, w: ReductionWitness) -> str:
-    partner = w.partners(len(cols))
+def _render_text(row: str, cols: list[int], w: ReductionWitness) -> str:
+    w.partners(len(cols))  # a witness that is not a planar reduction fails here
     # a link's row is 1 + the highest row nested directly inside it, 0 if
-    # none; the scan closes links innermost first
-    rows: dict[int, list[Link]] = {}
-    inner = [-1]  # per open link, outermost first: the highest row closed inside it
-    for p, q in enumerate(partner):
-        if q > p:
-            inner.append(-1)
-        elif q >= 0:
-            r = inner.pop() + 1
-            inner[-1] = max(inner[-1], r)
-            rows.setdefault(r, []).append((q, p))
+    # none; links are taken right to left, so those nested directly inside
+    # a link are the ones no link taken before it encloses
+    rows: dict[int, list[tuple[int, str]]] = {}
+    outer: list[tuple[int, int]] = []  # (left end, row), leftmost last
+    for i, j in sorted(w.links, reverse=True):
+        r = 0
+        while outer and outer[-1][0] < j:
+            r = max(r, outer.pop()[1] + 1)
+        outer.append((i, r))
+        rows.setdefault(r, []).append((cols[i], "|" + "_" * (cols[j] - cols[i] - 1) + "|"))
     if w.residue:
         rows[len(rows)] = []  # a last row of residue strands only
+    # a row's links are disjoint and no residue strand lies under a link, so
+    # a row is its pieces, in column order, with the gaps between them
+    strands = [(cols[i], "|") for i in w.residue]
     lines = [row]
     for r in range(len(rows)):
-        line = [" "] * width
-        for i, j in rows[r]:
-            line[cols[i]] = "|"
-            line[cols[j]] = "|"
-            for c in range(cols[i] + 1, cols[j]):
-                line[c] = "_"
-        for i in w.residue:
-            line[cols[i]] = "|"
-        lines.append("".join(line).rstrip())
+        line, end = [], 0
+        for c, piece in sorted(rows[r] + strands):
+            line += (" " * (c - end), piece)
+            end = c + len(piece)
+        lines.append("".join(line))
     return "\n".join(lines)
 
 

@@ -5,9 +5,11 @@ square's target witness must be the image of its source witness.
 
 ``interpret`` contracts in an order read off the witness, with no
 contraction-path search, and each alpha component is inverted once, when
-its :class:`AlphaSpec` is made.  Every pairwise step, a stack merge in
-``interpret`` or one axis carried by alpha, is one transpose, reshape to
-2-D, matmul and reshape back.
+its :class:`AlphaSpec` is made.  A stack merge in ``interpret`` is one
+matmul of the two entries as (open, shared) and (shared, open) matrices,
+each transposed first only where its axes are not in that order already.
+Carrying a tensor by alpha is one matmul per axis on the tensor as a 2-D
+array, and its shape is restored once, at the end.
 
 Tensor fixture files are JSON {spaces: {atom: dim}, words: [{word, type,
 data}]} where data is either nested arrays of numbers or {"seed": n}; seeded
@@ -93,12 +95,12 @@ class WordTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != len(self.type):
+        if self.data.ndim != len(self.type.parts):
             raise SemanticsError(
                 f"{self.word!r}: tensor has {self.data.ndim} axes, "
                 f"type {render_type(self.type)!r} has {len(self.type)}"
             )
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise SemanticsError(f"{self.word!r}: tensor has non-finite entries")
 
 
@@ -168,8 +170,8 @@ def interpret(witness: ReductionWitness, tensors: list[WordTensor]) -> np.ndarra
     stack: list[tuple[np.ndarray, list[int]]] = []
     pos = 0
     for wt in tensors:
-        data, labels = entry = _word_entry(wt.data, label[pos : pos + len(wt.type)])
-        pos += len(wt.type)
+        start, pos = pos, pos + wt.data.ndim
+        data, labels = entry = _word_entry(wt.data, label[start:pos])
         while stack and (not labels or not set(stack[-1][1]).isdisjoint(labels)):
             if any(partner[k] >= pos for k in labels):  # a link open to a later word
                 merged = set(stack[-1][1]) ^ set(labels)
@@ -185,6 +187,8 @@ def interpret(witness: ReductionWitness, tensors: list[WordTensor]) -> np.ndarra
 
 def _word_entry(data: np.ndarray, labels: list[int]) -> tuple[np.ndarray, list[int]]:
     """A word tensor as a stack entry, any link inside the word traced out."""
+    if len(set(labels)) == len(labels):
+        return data, labels
     for k in {x for x in labels if labels.count(x) > 1}:
         i = labels.index(k)
         j = labels.index(k, i + 1)
@@ -200,10 +204,13 @@ def _merge(left, right) -> tuple[np.ndarray, list[int]]:
     shared = [k for k in xs if k in ys]
     xfree = [k for k in xs if k not in shared]
     yfree = [k for k in ys if k not in shared]
-    x = x.transpose([xs.index(k) for k in xfree + shared])
-    y = y.transpose([ys.index(k) for k in shared + yfree])
+    xorder, yorder = xfree + shared, shared + yfree
+    if xs != xorder:  # a transpose that would leave every axis in place is skipped
+        x = x.transpose([xs.index(k) for k in xorder])
+    if ys != yorder:
+        y = y.transpose([ys.index(k) for k in yorder])
     xshape, yshape = x.shape[: len(xfree)], y.shape[len(shared) :]
-    data = x.reshape(math.prod(xshape), -1) @ y.reshape(-1, math.prod(yshape))
+    data = x.reshape(math.prod(xshape), -1).dot(y.reshape(-1, math.prod(yshape)))
     return data.reshape(xshape + yshape), xfree + yfree
 
 
@@ -224,6 +231,8 @@ class AlphaSpec:
             mat = np.asarray(mat, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise SemanticsError(f"component for {atom!r} is not a square matrix")
+            if not np.isfinite(mat).all():
+                raise SemanticsError(f"component for {atom!r} has non-finite entries")
             if abs(np.linalg.det(mat)) < 1e-12:
                 raise SemanticsError(f"component for {atom!r} is not invertible")
             carriers[atom] = (mat, np.linalg.inv(mat).T)
@@ -267,9 +276,9 @@ def apply_alpha(
                 f"{t.word!r}: override has shape {override.data.shape}, not {data.shape}"
             )
         return override
-    if len(image_type) != len(t.type):
+    if len(image_type.parts) != len(source_parts):
         raise SemanticsError(
-            f"{t.word!r}: image type length {len(image_type)} != {len(t.type)}"
+            f"{t.word!r}: image type length {len(image_type.parts)} != {len(source_parts)}"
         )
     return WordTensor(t.word, image_type, _carry(alpha, data, source_parts))
 
@@ -279,18 +288,19 @@ def _carry(alpha: AlphaSpec, data: np.ndarray, parts) -> np.ndarray:
     ``parts[k]``, one simple type per axis, or by its inverse transpose
     where that simple type's exponent is odd, so every epsilon pairing is
     preserved.  Each step is one matmul, (rest, leading axis) times the
-    map's transpose, so the mapped axis comes last, and after one pass over
-    all axes they are back in order."""
-    for p in parts:
-        d, rest = data.shape[0], data.shape[1:]
+    map's transpose, so the mapped axis comes last; its C-ordered result is
+    already the next step's (leading axis, rest) layout, and after one pass
+    over all axes they are back in order, so the shape is restored once."""
+    shape = data.shape
+    for p, d in zip(parts, shape):
         mat = alpha.component(p.atom, p.exponent)
         if len(mat) != d:
             raise SemanticsError(
                 f"component for {p.atom!r} is {len(mat)}x{len(mat)}, "
                 f"but the axis it carries has dimension {d}"
             )
-        data = (data.reshape(d, math.prod(rest)).T @ mat.T).reshape(rest + (d,))
-    return data
+        data = data.reshape(d, -1).T.dot(mat.T)
+    return data.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -318,20 +328,21 @@ def check_naturality(
     and target positions come from one :func:`functor_image` (brace cuts
     ``bracing``); a ``tgt_witness`` that is not the image of ``src_witness``
     raises SemanticsError, as do a post metarule, which has no tensor map,
-    and a simple type whose image is not one simple type: no position map."""
+    and a simple type whose image is not one simple type: no position map.
+    Both witness checks come before any word tensor is carried."""
     if functor.post_metarules:
         raise SemanticsError(f"post metarule {functor.post_metarules[0].kind!r} has no tensor map")
     types = [wt.type for wt in src_tensors]
     meaning = interpret(src_witness, src_tensors)
     _, _, where, order = functor_image(functor, types, bracing)
-    translated = []
-    for i, reverse in order:
-        image = apply_antihomomorphism if reverse else apply_homomorphism
-        translated.append(apply_alpha(alpha, src_tensors[i], image(functor, types[i]), reverse))
     if where is None:
         raise SemanticsError("a simple type's image is not one simple type: no position map")
     if tgt_witness != image_witness(where, src_witness):
         raise SemanticsError("source and target witnesses do not correspond")
+    translated = []
+    for i, reverse in order:
+        image = apply_antihomomorphism if reverse else apply_homomorphism
+        translated.append(apply_alpha(alpha, src_tensors[i], image(functor, types[i]), reverse))
 
     # translate the source meaning's residue, its axes in target order
     flat, residue = concat(types), src_witness.residue

@@ -187,6 +187,24 @@ def test_bracewise_image_memo_holds_one_entry_per_simple_type():
     assert len(f._images) <= len(pairs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({a: atom_images for a in "abc"}), st.lists(source_types, max_size=4),
+       source_types, st.booleans())
+def test_apply_reads_the_image_memo_and_never_writes_it(atom_map, words, unseen, anti):
+    mode = "antihomomorphism" if anti else "homomorphism"
+    apply = apply_antihomomorphism if anti else apply_homomorphism
+    f = FunctorSpec("x", "y", mode, atom_map, IMAGE_TARGET)
+    fresh = FunctorSpec("x", "y", mode, atom_map, IMAGE_TARGET)
+    functor_image(f, words)
+    held = dict(f._images)
+    for t in [*words, unseen]:
+        assert apply(f, t) == apply(fresh, t) == reference_image(f, t, anti)
+    assert f._images == held and not fresh._images  # no call wrote the memo
+    for t in words:  # a memoised word's image is the memo's, not computed again
+        f._images[t.parts, anti] = ((SimpleType("y", 7),), True)
+        assert apply(f, t) == CompoundType((SimpleType("y", 7),))
+
+
 # ---- overrides and the goal image ---------------------------------------------------
 
 def write_functor(tmp_path, mode, overrides):

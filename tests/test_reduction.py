@@ -1,6 +1,7 @@
 """Reduction engine: golden witnesses, DP-vs-brute-force, diagram rendering."""
 
 import itertools
+import re
 import sys
 import time
 
@@ -424,6 +425,75 @@ def test_render_rejects_witnesses_that_are_not_planar_reductions(links, residue)
     for format in ("text", "dot"):
         with pytest.raises(WitnessError):
             render_diagram(t, ReductionWitness(frozenset(links), residue), format=format)
+
+
+def grid_render_text(t, w):
+    """The text renderer as it was before rows were joined from their
+    pieces: every bracket row a list of characters as wide as the type row."""
+    tokens = [p.render() for p in t.parts]
+    cols, offset = [], 0
+    for tok in tokens:
+        cols.append(offset + (len(tok) - 1) // 2)
+        offset += len(tok) + 1
+    partner = w.partners(len(cols))
+    rows, inner = {}, [-1]
+    for p, q in enumerate(partner):
+        if q > p:
+            inner.append(-1)
+        elif q >= 0:
+            r = inner.pop() + 1
+            inner[-1] = max(inner[-1], r)
+            rows.setdefault(r, []).append((q, p))
+    if w.residue:
+        rows[len(rows)] = []
+    lines = [" ".join(tokens)]
+    for r in range(len(rows)):
+        line = [" "] * (offset - 1)
+        for i, j in rows[r]:
+            line[cols[i]] = "|"
+            line[cols[j]] = "|"
+            for c in range(cols[i] + 1, cols[j]):
+                line[c] = "_"
+        for i in w.residue:
+            line[cols[i]] = "|"
+        lines.append("".join(line).rstrip())
+    return "\n".join(lines)
+
+
+@st.composite
+def planar_witnesses(draw):
+    """A planar reduction's witness over n <= 12 positions: each position
+    opens a link, closes the innermost open one, or is residue where no
+    link is open; links left open at the end are residue too."""
+    n = draw(st.integers(0, 12))
+    links, residue, open_ = [], [], []
+    for p in range(n):
+        move = draw(st.sampled_from(("open", "close", "residue")))
+        if move == "close" and open_:
+            links.append((open_.pop(), p))
+        elif move == "residue" and not open_:
+            residue.append(p)
+        else:
+            open_.append(p)
+    return n, ReductionWitness(tuple(sorted(links)), tuple(sorted(residue + open_)))
+
+
+RENDERED = st.builds(SimpleType, st.sampled_from(("n", "s", "np", "obj")), st.integers(-3, 3),
+                     st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(planar_witnesses(), drawn_witnesses()), st.data())
+def test_render_text_is_byte_identical_to_the_character_grid(drawn, data):
+    n, w = drawn
+    t = CompoundType(tuple(data.draw(st.lists(RENDERED, min_size=n, max_size=n))))
+    try:
+        want = grid_render_text(t, w)
+    except WitnessError as exc:
+        with pytest.raises(WitnessError, match=f"^{re.escape(str(exc))}$"):
+            render_diagram(t, w)
+    else:
+        assert render_diagram(t, w) == want
 
 
 def test_render_text_of_deep_nesting_is_fast():

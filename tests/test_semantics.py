@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,38 @@ def test_five_word_square_merges_at_most_four_entries(monkeypatch):
     assert max(sizes) <= 4, sizes
 
 
+class TransposeRecording(np.ndarray):
+    """An array that records every transpose asked of it or of its views."""
+
+    calls: list = []
+
+    def transpose(self, *axes):
+        TransposeRecording.calls.append(axes)
+        return super().transpose(*axes)
+
+
+@pytest.mark.parametrize("xs, ys, transposes", [
+    ([0, 5, 1, 2], [2, 1, 7], 1),  # shared [1, 2] of x are [2, 1] in y: y is transposed
+    ([0, 5, 1], [1, 7, 8], 0),  # both in (open, shared) and (shared, open) order already
+    ([0, 1], [7], 0),  # nothing shared: an outer product
+    ([], [1, 7], 0),  # a scalar
+    ([1, 0], [7, 1], 2),
+])
+def test_merge_transposes_only_operands_out_of_order(xs, ys, transposes):
+    rng = np.random.default_rng(len(xs) + 3 * len(ys))
+    dims = {0: 2, 1: 3, 2: 4, 5: 1, 7: 2, 8: 3}
+    x = rng.normal(size=[dims[k] for k in xs]).view(TransposeRecording)
+    y = rng.normal(size=[dims[k] for k in ys]).view(TransposeRecording)
+    TransposeRecording.calls = []
+    data, labels = semantics._merge((x, xs), (y, ys))
+    assert len(TransposeRecording.calls) == transposes
+    free = [k for k in xs if k not in ys] + [k for k in ys if k not in xs]
+    assert labels == free
+    want = np.einsum(np.asarray(x), xs, np.asarray(y), ys, free)
+    assert data.shape == want.shape
+    assert np.allclose(data, want, rtol=1e-12, atol=1e-12)
+
+
 def test_interpret_subject_verb_object():
     spaces, tensors = load_tensor_fixture(bundled.tensor_path("pigeons"))
     table = AtomTable(dict(spaces.dims).keys())
@@ -373,6 +406,16 @@ def test_alpha_requires_invertible_components():
         AlphaSpec.make({"n": np.ones((2, 3))})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_alpha_refuses_non_finite_components(bad):
+    mat = np.eye(2)
+    mat[0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before det or inv can warn
+        with pytest.raises(SemanticsError, match=r"^component for 'n' has non-finite entries$"):
+            AlphaSpec.make({"s": np.eye(3), "n": mat})
+
+
 def test_alpha_preserves_epsilon_pairings():
     mat = np.eye(3) + 0.2 * lcg_array(5, (3, 3))
     alpha = AlphaSpec.make({"n": mat})
@@ -428,6 +471,41 @@ def test_apply_alpha_matches_inverting_each_axis(reverse):
         want = carry_by_inverting(components, data, axes)
         assert got.type == image and got.data.shape == want.shape
         assert np.max(np.abs(got.data - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=1)
+
+
+def carry_by_einsum(components, data, axes):
+    """Axis k through the component of its atom, inverted and transposed
+    where the exponent is odd, one einsum per axis."""
+    n = data.ndim
+    for k, (atom, exponent) in enumerate(axes):
+        mat = components[atom]
+        if exponent % 2:
+            mat = np.linalg.inv(mat).T
+        out = list(range(n))
+        out[k] = n
+        data = np.einsum(mat, [n, k], data, list(range(n)), out)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("nsa"), st.integers(-2, 2)), min_size=1, max_size=4),
+       st.fixed_dictionaries({a: st.integers(1, 4) for a in "nsa"}), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_apply_alpha_matches_a_per_axis_einsum(axes, dims, reverse, seed):
+    rng = np.random.default_rng(seed)
+    components = {a: np.eye(d) + 0.3 * rng.uniform(-1, 1, (d, d)) for a, d in dims.items()}
+    alpha = AlphaSpec.make(components)
+    table = AtomTable(set(dims))
+    functor = FunctorSpec("x", "y", "antihomomorphism" if reverse else "homomorphism",
+                          {a: parse_type(a, table) for a in dims}, table)
+    t = CompoundType(tuple(SimpleType(a, z) for a, z in axes))
+    wt = semantics.WordTensor("w", t, rng.normal(size=[dims[a] for a, _ in axes]))
+    image = (apply_antihomomorphism if reverse else apply_homomorphism)(functor, t)
+    got = apply_alpha(alpha, wt, image, reverse)
+    want = carry_by_einsum(components, wt.data.T if reverse else wt.data,
+                           axes[::-1] if reverse else axes)
+    assert got.type == image and got.data.shape == want.shape
+    assert np.max(np.abs(got.data - want)) <= 1e-12 * max(np.max(np.abs(want)), 1)
 
 
 def test_alpha_component_and_inverse_transpose():
@@ -735,6 +813,43 @@ def test_naturality_needs_one_simple_type_per_image():
     alpha = AlphaSpec.make({"n": np.eye(2), "s": np.eye(2)})
     with pytest.raises(SemanticsError, match="image is not one simple type: no position map"):
         check_naturality(alpha, w, tensors, functor, w, 1e-9)
+
+
+def test_naturality_without_a_position_map_refuses_before_carrying(monkeypatch):
+    # n -> n s s^l changes the word n's length, so apply_alpha would refuse
+    # it too; the square names the cause first and carries no word
+    table = AtomTable({"n", "s"})
+    types = [parse_type(t, table) for t in ("n", "n^r s")]
+    tensors = [semantics.WordTensor(f"w{i}", t, np.ones((2,) * len(t))) for i, t in enumerate(types)]
+    functor = FunctorSpec("x", "y", "homomorphism",
+                          {"n": parse_type("n s s^l", table), "s": parse_type("s", table)}, table)
+    w = reduce(concat(types), parse_type("s", table), table)
+    carried = []
+    monkeypatch.setattr(semantics, "apply_alpha", lambda *args: carried.append(args))
+    alpha = AlphaSpec.make({"n": np.eye(2), "s": np.eye(2)})
+    with pytest.raises(SemanticsError,
+                       match="^a simple type's image is not one simple type: no position map$"):
+        check_naturality(alpha, w, tensors, functor, w, 1e-9)
+    assert carried == []
+
+
+@pytest.mark.parametrize("index", range(len(checks.SQUARES)))
+def test_naturality_maps_and_carries_each_word_once_and_interprets_twice(index, monkeypatch):
+    # the benchmark's per-layer call counters read these bindings
+    name, fixture, mode, mask, bracing, goal, seeds = checks.SQUARES[index]
+    spaces, tensors, src_w, functor, tgt_w = checks.square(fixture, mode, mask, bracing, goal)
+    calls = []
+    for attr in ("apply_homomorphism", "apply_antihomomorphism", "apply_alpha", "interpret"):
+        def counted(*args, _attr=attr, _fn=getattr(semantics, attr)):
+            calls.append(_attr)
+            return _fn(*args)
+        monkeypatch.setattr(semantics, attr, counted)
+    report = check_naturality(checks.square_alpha(spaces, seeds), src_w, tensors, functor, tgt_w,
+                              1e-9, bracing)
+    assert report.ok, report.max_residual
+    images = calls.count("apply_homomorphism") + calls.count("apply_antihomomorphism")
+    assert images == calls.count("apply_alpha") == len(tensors)
+    assert calls.count("interpret") == 2
 
 
 def test_naturality_rejects_a_component_of_the_wrong_size():
