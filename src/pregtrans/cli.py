@@ -3,6 +3,15 @@
 Exit codes: 0 success, 1 usage, configuration or input-file error, 2
 linguistic failure (not reducible / not translatable).  Tokens are separated
 by whitespace, `|` separates brace segments, and `@0` is the empty word.
+
+Standard input is read one line at a time, each answered before the next
+is read.  A ``--format json`` line is composed from ``_json_string``
+pieces and written with one ``write`` and a ``flush`` to click's stdout
+stream: it holds no escape character (every control character is written
+as a ``\\u`` escape), so ``click.echo``'s ANSI stripping could change
+nothing there.  Text and dot output keep ``click.echo``, since stripping
+can change the bytes of a line that echoes an escape sequence from the
+input.
 """
 
 from __future__ import annotations
@@ -82,9 +91,11 @@ def _goal(target: str, table: AtomTable) -> CompoundType:
 
 
 def _sentences(sentence: str | None):
+    """``[sentence]``, or else each non-blank stdin line, stripped, read
+    only once the line before it is answered, so output streams."""
     if sentence is not None:
         return [sentence]
-    return [line.strip() for line in sys.stdin if line.strip()]
+    return filter(None, map(str.strip, sys.stdin))
 
 
 @click.group(cls=_Group)
@@ -111,6 +122,7 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     exit_code = 0
     budget = limit if enumerate_all else 1
     link_text = _LinkText()
+    out = click.get_text_stream("stdout")
     for line in _sentences(sentence):
         try:
             alternatives = [lex.alternatives(tok) for tok in line.split()]
@@ -127,7 +139,8 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
             if count >= budget:
                 break
         if fmt == "json":
-            click.echo(_json_parse_line(line, found, link_text))
+            out.write(_json_parse_line(line, found, link_text) + "\n")
+            out.flush()
         elif not count:
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
@@ -199,6 +212,7 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
             raise CliError(f"functor {functor_name!r} needs an explicit --wordmap") from exc
     wm = load_wordmap(wordmap_path)
     exit_code = 0
+    out = click.get_text_stream("stdout")
     for line in _sentences(sentence):
         tokens, bracing = [], []
         for piece in line.split():
@@ -219,20 +233,8 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
             exit_code = EXIT_CONFIG
             continue
         if fmt == "json":
-            click.echo(
-                json.dumps(
-                    {
-                        "sentence": line,
-                        "source_type": render_type(result.source_type),
-                        "translated_type": render_type(result.translated),
-                        "translation": result.text,
-                        "target_reducible": result.target_witness is not None,
-                        "diagnostic": result.diagnostic,
-                    },
-                    ensure_ascii=False,
-                    check_circular=False,
-                )
-            )
+            out.write(_json_translate_line(line, result) + "\n")
+            out.flush()
         else:
             click.echo(f"source type:     {render_type(result.source_type)}")
             click.echo(render_diagram(result.source_type, result.source_witness))
@@ -245,6 +247,20 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
         if result.target_witness is None:
             exit_code = exit_code or EXIT_LINGUISTIC
     sys.exit(exit_code)
+
+
+def _json_translate_line(line: str, result) -> str:
+    """One ``translate --format json`` line: the same text as ``json.dumps``
+    (``ensure_ascii=False``) of ``{"sentence", "source_type",
+    "translated_type", "translation", "target_reducible", "diagnostic"}``,
+    written directly."""
+    diagnostic = result.diagnostic
+    return ('{"sentence": %s, "source_type": %s, "translated_type": %s, "translation": %s, '
+            '"target_reducible": %s, "diagnostic": %s}'
+            % (_json_string(line), _json_string(render_type(result.source_type)),
+               _json_string(render_type(result.translated)), _json_string(result.text),
+               "false" if result.target_witness is None else "true",
+               "null" if diagnostic is None else _json_string(diagnostic)))
 
 
 # suite -> its failures, given --tol, --max-len and --count

@@ -269,6 +269,20 @@ class SimpleType(NamedTuple):
         return NotImplemented
 
 
+class _Texts(dict):
+    """simple type -> its text, made by :meth:`SimpleType.render` on first
+    lookup: one entry per distinct simple type rendered."""
+
+    __slots__ = ()
+
+    def __missing__(self, x):
+        text = self[x] = x.render()
+        return text
+
+
+simple_texts = _Texts()
+
+
 @dataclass(frozen=True, order=True)
 class CompoundType:
     """An ordered string of simple types; the empty string is the unit."""
@@ -293,7 +307,7 @@ class CompoundType:
         return CompoundType(self.parts + other.parts)
 
     def render(self) -> str:
-        return " ".join(p.render() for p in self.parts)
+        return " ".join(map(simple_texts.__getitem__, self.parts))
 
     def __str__(self):
         return self.render()
@@ -313,7 +327,7 @@ class BracedType:
         return concat(self.segments)
 
     def render(self) -> str:
-        return " ".join(f"< {seg.render()} >".replace("<  >", "< >") for seg in self.segments)
+        return " ".join(f"< {seg.render()} >" if seg.parts else "< >" for seg in self.segments)
 
     def __str__(self):
         return self.render()
@@ -436,4 +450,6 @@ def parse_plain_type(text: str, table: AtomTable) -> CompoundType:
 
 
 def render_type(t: Type) -> str:
+    """``t``'s text: its simple types' texts (``simple_texts``) joined by
+    spaces, each brace segment as ``< ... >``."""
     return t.render()

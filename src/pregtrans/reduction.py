@@ -9,9 +9,12 @@ exactly when it, followed by the target's right adjoint (the goal tail),
 reduces to the unit, so :class:`SpanSearch` appends the goal tail and
 fills one bit set per node in one pass from the end back to the start: the
 nodes it reaches over a path that reduces to the unit.  For N simple types
-that is O(N^2) Python steps over N-bit sets, with no recursion.  A lattice
-search only decides; witnesses are read off a flat search with explicit
-stacks.  :func:`type_selections` decides which selections reduce, after a
+that is O(N^2) Python steps over N-bit sets, with no recursion.  A token
+with one type is laid out in one step (its positions' edges each lead to
+the next node), the fill takes each partner bit with one ``ends & -ends``
+step, and empty edges are looked up only in a search that has them.  A
+lattice search only decides; witnesses are read off a flat search with
+explicit stacks.  :func:`type_selections` decides which selections reduce, after a
 count check that refuses the alternatives whose count code
 (``AtomTable.counts``) cannot balance against the target's.  Induced order
 steps (s1 -> s, n -> pi) are folded into the contraction partners.  One
@@ -32,6 +35,7 @@ from .core import (
     Type,
     flatten,
     right_adjoint,
+    simple_texts,
 )
 
 DEFAULT_LIMIT = 1024
@@ -128,6 +132,10 @@ class SpanSearch:
         parts, dst, eps = [], [], {}  # eps: node -> the nodes one empty edge leads to
         for strings in tokens:
             start = len(parts)
+            if len(strings) == 1:  # one alternative: edges p -> p + 1, in one step
+                parts += strings[0]
+                dst += range(start + 1, len(parts) + 1)
+                continue
             end = start + sum(map(len, strings))
             for s in strings:
                 w = len(parts) if s else end  # where the alternative starts
@@ -152,11 +160,12 @@ class SpanSearch:
                     ends |= where.get(y, 0)
                 ends &= spans[dst[u]]
                 while ends:
-                    k = (ends & -ends).bit_length() - 1
-                    ends &= ends - 1
-                    span |= spans[dst[k]]
-                for w in eps.get(u, ()):
-                    span |= spans[w]
+                    k = ends & -ends  # the lowest partner bit
+                    ends ^= k
+                    span |= spans[dst[k.bit_length() - 1]]
+                if eps:
+                    for w in eps.get(u, ()):
+                        span |= spans[w]
             spans[u] = span
             where[x] = where.get(x, 0) | 1 << u  # the positions from u on, by type
 
@@ -373,7 +382,7 @@ def diagram_renderer(input: Type, format: str = "text"):
     """The function ``w -> render_diagram(input, w, format)``, with what
     depends on ``input`` alone, its row of simple types or its dot node
     lines, made once for every witness it renders."""
-    tokens = [p.render() for p in flatten(input).parts]
+    tokens = list(map(simple_texts.__getitem__, flatten(input).parts))
     if format == "dot":
         nodes = ["graph reduction {", *(f'  t{i} [label="{tok}"];' for i, tok in enumerate(tokens))]
         return lambda w: _render_dot(nodes, w)

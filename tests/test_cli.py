@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, formats, batch mode."""
 
+import io
 import json
 import re
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -11,8 +13,12 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from pregtrans.checks import SQUARES
-from pregtrans.cli import _json_parse_line, _LinkText, main
-from pregtrans.core import concat, parse_plain_type, render_type
+from pregtrans import data
+from pregtrans.cli import _json_parse_line, _json_translate_line, _LinkText, main
+from pregtrans.core import (BracedType, CompoundType, PregroupError, SimpleType, concat,
+                            parse_plain_type, render_type)
+from pregtrans.functors import (NotTranslatableError, TranslationResult, load_functor,
+                                load_wordmap, translate_sentence)
 from pregtrans.lexicon import UnknownWordError, load_lexicon
 from pregtrans.reduction import ReductionWitness, render_diagram, type_selections
 
@@ -388,6 +394,123 @@ def test_translate_image_that_does_not_reduce_exits_2(runner, tmp_path):
     assert r.exit_code == 2
     payload = json.loads(r.output)
     assert payload["target_reducible"] is False and payload["diagnostic"] == diagnostic
+
+
+def _reference_translate_line(line, result):
+    # the encoding cmd_translate made before it wrote its lines itself
+    return json.dumps({"sentence": line,
+                       "source_type": render_type(result.source_type),
+                       "translated_type": render_type(result.translated),
+                       "translation": result.text,
+                       "target_reducible": result.target_witness is not None,
+                       "diagnostic": result.diagnostic},
+                      ensure_ascii=False, check_circular=False)
+
+
+# quotes, backslashes, non-ASCII, ESC and other control characters
+_raw_texts = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1b\x7f\u2028é日\ud800^ '),
+                               st.characters()))
+_simple = st.builds(SimpleType, _raw_texts.filter(bool), st.integers(-3, 3), st.booleans())
+_braced = st.lists(st.lists(_simple, max_size=3).map(lambda ps: CompoundType(tuple(ps))),
+                   min_size=1, max_size=3).map(lambda segs: BracedType(tuple(segs)))
+_results = st.builds(TranslationResult, _braced, st.just(ReductionWitness((), ())), _braced,
+                     st.sampled_from([None, ReductionWitness((), ())]),
+                     st.lists(_raw_texts, max_size=4).map(tuple), st.one_of(st.none(), _raw_texts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_texts, _results)
+@example("\x1b[31mneko\x1b[0m", TranslationResult(
+    BracedType((CompoundType((SimpleType("n"),)),)), ReductionWitness((), ()),
+    BracedType((CompoundType(()),)), None, ("\x1b", '"'), "does not \\ reduce"))
+def test_json_translate_line_is_json_dumps_of_the_result_dict(line, result):
+    assert _json_translate_line(line, result) == _reference_translate_line(line, result)
+
+
+def _translate_expected(functor_name, lines, functor_path=None, wordmap_name=None):
+    """Each line's expected stdout line: its reference JSON, or None where it
+    is not translatable; a line that is an error for its line is left out."""
+    reg = data.FUNCTOR_REGISTRY.get(functor_name, {"src": "ja_mini", "tgt": "en"})
+    src, tgt = (load_lexicon(data.lexicon_path(reg[r])) for r in ("src", "tgt"))
+    f = load_functor(functor_path or data.functor_path(functor_name), src.table, tgt.table)
+    wm = load_wordmap(data.wordmap_path(wordmap_name or functor_name))
+    expected = []
+    for line in lines:
+        tokens, bracing = [], []
+        for piece in line.split():
+            if piece == "|":
+                bracing.append(len(tokens))
+            else:
+                tokens.append(piece)
+        try:
+            result = translate_sentence(src, tgt, f, wm, tokens, tuple(bracing) or None)
+        except (NotTranslatableError, UnknownWordError):
+            expected.append(None)
+            continue
+        except PregroupError:  # reported on stderr
+            continue
+        expected.append(_reference_translate_line(line, result))
+    return expected
+
+
+def test_translate_json_batch_is_byte_identical_to_the_reference_encoding(runner, tmp_path):
+    lines = ["mori ni neko ga iru", "hon ni neko ga iru", "mori neko", "mori ni nekoé ga iru",
+             "| mori ni neko ga iru", "mori ni neko ga iru"]
+    r = runner.invoke(main, ["translate", "--functor", "jp-en-anti", "--format", "json"],
+                      input="\n".join(lines) + "\n")
+    assert r.exit_code == 1
+    out = r.stdout.splitlines()
+    expected = _translate_expected("jp-en-anti", lines)
+    assert len(out) == len(expected) == 4
+    for got, want in zip(out, expected):
+        assert got.startswith("not translatable: ") if want is None else got == want
+    # a string diagnostic: n^r maps to n, so the image does not reduce
+    functor_path = tmp_path / "functor.json"
+    functor_path.write_text(json.dumps(
+        {**FUNCTOR, "mode": "homomorphism", "simple_overrides": {"n^r": "n"}}))
+    lines = ["mori ni neko ga iru", "mori ni neko ga iru"]
+    r = runner.invoke(main, ["translate", "--src", "ja_mini", "--tgt", "en", "--wordmap",
+                             "jp-en-anti", "--functor", str(functor_path), "--format", "json"],
+                      input="\n".join(lines) + "\n")
+    assert r.exit_code == 2
+    expected = _translate_expected("", lines, functor_path, "jp-en-anti")
+    assert r.stdout.splitlines() == expected
+    assert json.loads(expected[0])["diagnostic"].startswith("translated type ")
+
+
+class _RecordingStdin:
+    """Standard input that records, each time a line is read, how many
+    lines standard output holds."""
+
+    def __init__(self, lines, out):
+        self.lines, self.out, self.seen = iter(lines), out, []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.seen.append(self.out.getvalue().count("\n"))
+        return next(self.lines)
+
+
+@pytest.mark.parametrize("args, lines", [
+    (["parse", "--lex", "ja", "--format", "json"],
+     ["neko ga sakana wo taberu\n", "neko sakana\n", "\n", "neko ga sakana wo taberu\n"]),
+    (["translate", "--functor", "jp-en-anti", "--format", "json"],
+     ["mori ni neko ga iru\n", "mori neko\n", "  \n", "mori ni neko ga iru\n"]),
+])
+def test_json_output_is_streamed_line_by_line(monkeypatch, args, lines):
+    # line i is on stdout before input line i + 1 is read
+    out = io.StringIO()
+    stdin = _RecordingStdin(lines, out)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(SystemExit) as exited:
+        main(args, prog_name="pregtrans")
+    assert exited.value.code == 2
+    # a blank line writes nothing; the last read finds the input ended
+    assert stdin.seen == [0, 1, 2, 2, 3]
+    assert len(out.getvalue().splitlines()) == 3
 
 
 @pytest.mark.parametrize("args, message", [

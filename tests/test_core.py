@@ -5,9 +5,10 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pregtrans.core
+from pregtrans import data
 from pregtrans.core import (
     AtomTable,
     BracedType,
@@ -23,7 +24,9 @@ from pregtrans.core import (
     render_type,
     right_adjoint,
     simple_leq,
+    simple_texts,
 )
+from pregtrans.lexicon import load_lexicon
 
 TABLE = AtomTable({"n", "s", "s1", "sbar", "pi"}, [("s1", "s"), ("sbar", "s"), ("n", "pi")])
 
@@ -220,6 +223,48 @@ def test_render_parse_roundtrip(t):
 def test_render_iterated_adjoints():
     assert SimpleType("n", -2).render() == "n^l^l"
     assert SimpleType("n", 2, True).render() == "b(n)^r^r"
+
+
+# ---- the simple type texts, made once each ---------------------------------
+
+def _reference_render(t):
+    # render_type as it was before each simple type's text was kept
+    if isinstance(t, BracedType):
+        return " ".join(f"< {_reference_render(seg)} >".replace("<  >", "< >")
+                        for seg in t.segments)
+    return " ".join(p.render() for p in t.parts)
+
+
+LEXICONS = sorted(p.stem for p in data.data_path("lexicons").glob("*.json"))
+
+
+def test_kept_text_is_the_rendered_text_of_every_simple_type():
+    atoms = set(TABLE.atoms).union(*(load_lexicon(data.lexicon_path(name)).table.atoms
+                                     for name in LEXICONS))
+    for atom in sorted(atoms):
+        for z in range(-3, 4):
+            for beta in (False, True):
+                x = SimpleType(atom, z, beta)
+                assert simple_texts[x] == x.render()
+                assert simple_texts[x] is simple_texts[x]  # made once, then looked up
+                assert render_type(CompoundType((x, x))) == f"{x.render()} {x.render()}"
+
+
+@given(st.lists(compounds, min_size=1, max_size=4).map(lambda segs: BracedType(tuple(segs))))
+@example(BracedType((CompoundType(),)))
+@example(BracedType((CompoundType(), CompoundType((SimpleType("n", -1),)), CompoundType())))
+def test_braced_types_with_empty_segments_render_as_before(t):
+    assert render_type(t) == t.render() == _reference_render(t)
+    assert render_type(t.flatten()) == _reference_render(t.flatten())
+
+
+@pytest.mark.parametrize("name", LEXICONS)
+def test_alternatives_keep_their_rendered_order_on_every_bundled_lexicon(name):
+    lex = load_lexicon(data.lexicon_path(name))
+    words = [*lex.entries, *lex._aliases, *(["@0"] if lex.empty_words else [])]
+    assert words
+    for word in words:
+        assert lex.alternatives(word) == tuple(sorted(lex.types_of(word), key=_reference_render))
 
 
 # ---- the parser against the scanner it replaced ---------------------------

@@ -566,6 +566,82 @@ def test_lattice_search_decides_like_the_product_loop(alternatives, goal):
     assert found == bool(oracle_selections(alternatives, goal, TABLE))
 
 
+# ---- the layout: a token with one type in one step -----------------------------
+
+class PerPositionSearch(SpanSearch):
+    """The search with the layout that placed every position on its own, and
+    the fill that took each partner bit in two steps and looked up empty
+    edges at every node, kept as the reference."""
+
+    def _layout(self, tokens):
+        parts, dst, eps = [], [], {}
+        for strings in tokens:
+            start = len(parts)
+            end = start + sum(map(len, strings))
+            for s in strings:
+                w = len(parts) if s else end
+                if w != start:
+                    eps.setdefault(start, {})[w] = None
+                for j, x in enumerate(s):
+                    parts.append(x)
+                    dst.append(end if j == len(s) - 1 else len(parts))
+        self.parts, self.dst, self.eps, self.end = parts, dst, eps, len(parts)
+
+    def _fill(self):
+        n, tail, parts, dst = self.end, self.tail, self.parts, self.dst
+        eps, partners = self.eps, self.table.partners
+        where = {}
+        spans = self.spans = [0] * n + [1 << n]
+        for u in range(n - 1, -1, -1):
+            x = parts[u]
+            span = 1 << u
+            if u < tail:
+                ends = 0
+                for y in partners[x]:
+                    ends |= where.get(y, 0)
+                ends &= spans[dst[u]]
+                while ends:
+                    k = (ends & -ends).bit_length() - 1
+                    ends &= ends - 1
+                    span |= spans[dst[k]]
+                for w in eps.get(u, ()):
+                    span |= spans[w]
+            spans[u] = span
+            where[x] = where.get(x, 0) | 1 << u
+
+
+@st.composite
+def mixed_tokens(draw):
+    """A goal and tokens over TABLE: a flat input cut into tokens of one type
+    each (an empty piece is an @0 token, one empty type), with @0 tokens,
+    tokens without a type and tokens with two types put in."""
+    t, goal = draw(flat_inputs())
+    parts = t.parts
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, len(parts)), max_size=4))), len(parts)]
+    tokens = [[CompoundType(parts[a:b])] for a, b in zip(bounds, bounds[1:])]
+    others = st.one_of(st.sampled_from([[CompoundType()], []]),
+                       st.lists(alternative, min_size=2, max_size=2, unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(others))
+    return tokens, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_tokens())
+def test_one_step_layout_matches_the_per_position_layout(drawn):
+    tokens, goal = drawn
+    got, want = SpanSearch(tokens, goal, TABLE), PerPositionSearch(tokens, goal, TABLE)
+    assert (got.parts, list(got.dst), got.eps, got.tail, got.end, got.spans) == (
+        want.parts, list(want.dst), want.eps, want.tail, want.end, want.spans)
+    for limit in (1, 2, 20000):
+        if want.eps:
+            with pytest.raises(ValueError):
+                got.witnesses(limit)
+        else:
+            assert got.witnesses(limit) == want.witnesses(limit) == sorted(
+                reference_witnesses(want, limit))
+
+
 # ---- the count check -----------------------------------------------------------
 
 @pytest.fixture
