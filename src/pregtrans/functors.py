@@ -66,10 +66,10 @@ class FunctorSpec:
     post_metarules: tuple[Metarule, ...] = ()
     # untagged source simple type -> its image, in place of the computed one
     simple_overrides: dict[SimpleType, CompoundType] = field(default_factory=dict)
-    # (word type's parts, reversed) -> its image's parts and whether each
-    # part maps to one simple type, filled by functor_image and, for the
-    # goal, translate_sentence
-    _images: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # per direction (reversed or not), source simple type -> its image's
+    # parts, written by _image alone: one entry per simple type met
+    _images: tuple[dict, dict] = field(default_factory=lambda: ({}, {}), init=False,
+                                       compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -167,30 +167,35 @@ def load_functor(path: str | Path, source_table: AtomTable, target_table: AtomTa
     return spec
 
 
+def _simple_image(f: FunctorSpec, p: SimpleType, reverse: bool) -> tuple[SimpleType, ...]:
+    # p = a^z maps to its override, or else to the z-th adjoint of F(a)
+    # (exponents shifted by z, order reversed when z is odd), z negated
+    # under reverse; a β tag on p tags its whole image
+    image = f.simple_overrides.get(SimpleType(p.atom, p.exponent))
+    if image is None:
+        z = -p.exponent if reverse else p.exponent
+        image = f.image_of_atom(p.atom).parts
+        if z % 2:
+            image = image[::-1]
+    else:
+        z, image = 0, image.parts
+    if z or p.beta:
+        image = tuple(SimpleType(q.atom, q.exponent + z, q.beta or p.beta) for q in image)
+    return image
+
+
 def _image(f: FunctorSpec, t: CompoundType, reverse: bool) -> CompoundType:
-    """The image of ``t``, part by part: a part ``a^z`` maps to its
-    override, or else to the z-th adjoint of F(a) (exponents shifted by z,
-    order reversed when z is odd), and a β tag on the part tags its whole
-    image.  With ``reverse`` the parts map in reverse order with negated
-    exponents, as under an anti-homomorphism.  A word image that
-    :func:`functor_image` has memoised is read from its memo, never written."""
-    found = f._images.get((t.parts, reverse))
-    if found is not None:
-        return CompoundType(found[0])
-    overrides = f.simple_overrides
+    """The image of ``t``, part by part, with ``reverse`` in reverse order
+    and negated exponents, as under an anti-homomorphism.  Each simple
+    type's image is made once per functor and direction and kept in
+    ``f._images``, which every image reads and only this writes."""
+    memo = f._images[reverse]
     out = []
     for p in reversed(t.parts) if reverse else t.parts:
-        image = overrides.get(SimpleType(p.atom, p.exponent)) if overrides else None
+        image = memo.get(p)
         if image is None:
-            z = -p.exponent if reverse else p.exponent
-            image = f.image_of_atom(p.atom).parts
-            if z % 2:
-                image = image[::-1]
-        else:
-            z, image = 0, image.parts
-        if z or p.beta:
-            image = [SimpleType(q.atom, q.exponent + z, q.beta or p.beta) for q in image]
-        out.extend(image)
+            image = memo[p] = _simple_image(f, p, reverse)
+        out += image
     return CompoundType(tuple(out))
 
 
@@ -207,15 +212,10 @@ def apply_antihomomorphism(f: FunctorSpec, t: CompoundType) -> CompoundType:
 def apply_bracewise(f: FunctorSpec, t: BracedType) -> BracedType:
     """Transform each brace segment, anti-homomorphically where the mask
     is true, then apply the post metarules to each segment once: the image
-    :func:`functor_image` takes of one word per simple type (an empty
-    segment one empty word), so its memo holds one entry per simple type."""
+    :func:`functor_image` takes of each segment as one word."""
     if f.mode != "bracewise":
         raise FunctorError("functor is not brace-wise")
-    words, cuts = [], []
-    for seg in t.segments:
-        cuts.append(len(words))
-        words += [CompoundType((p,)) for p in seg.parts] or [seg]
-    return functor_image(f, words, cuts[1:]).image
+    return functor_image(f, t.segments, range(1, len(t.segments))).image
 
 
 def apply_functor(f: FunctorSpec, t: Type) -> Type:
@@ -304,15 +304,6 @@ class FunctorImage(NamedTuple):
     order: list[tuple[int, bool]]
 
 
-def _remember(f: FunctorSpec, t: CompoundType, reverse: bool):
-    """``t``'s image parts and whether each part of ``t`` maps to one simple
-    type, kept in ``f._images``: a functor does not change."""
-    found = f._images[t.parts, reverse] = (
-        _image(f, t, reverse).parts,
-        all(len(_image(f, CompoundType((p,)), False)) == 1 for p in t.parts))
-    return found
-
-
 def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -> FunctorImage:
     """The word ``types`` cut into brace segments at ``bracing``, their image
     under ``f``, the position map and the order, in one walk over the words
@@ -326,18 +317,20 @@ def functor_image(f: FunctorSpec, types: Sequence[CompoundType], bracing=None) -
 
 def _functor_image(f: FunctorSpec, types: Sequence[CompoundType], bounds) -> FunctorImage:
     # functor_image with the cuts' segment bounds already made
-    images, rules, table = f._images, f.post_metarules, f.target_table
+    rules, table = f.post_metarules, f.target_table
     source, segments, where, order = [], [], [], []
     for reverse, (a, b) in zip(f.mask(len(bounds)), bounds):
         seg = concat(types[a:b])
         source.append(seg)
-        parts = []
         for i in range(b - 1, a - 1, -1) if reverse else range(a, b):
             order.append((i, reverse))
-            t = types[i]
-            found = images.get((t.parts, reverse)) or _remember(f, t, reverse)
-            parts += found[0]
-            if not found[1]:
+        memo, parts = f._images[reverse], []
+        for p in reversed(seg.parts) if reverse else seg.parts:
+            image = memo.get(p)
+            if image is None:
+                image = _image(f, CompoundType((p,)), reverse).parts
+            parts += image
+            if len(image) != 1:
                 where = None
         image = CompoundType(tuple(parts))
         if where is not None:  # a one-to-one segment keeps its place, maybe reversed
@@ -404,8 +397,7 @@ def translate_sentence(
 
     source_braced, translated, where, order = _functor_image(f, chosen, bounds)
     flat = translated.flatten()
-    goal_image = CompoundType(
-        (f._images.get((goal.parts, f.reverses)) or _remember(f, goal, f.reverses))[0])
+    goal_image = _image(f, goal, f.reverses)
     target_witness = None
     if where is not None:
         target_witness = image_witness(where, witness)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -41,6 +41,7 @@ from .core import (
     JsonObject,
     PregroupError,
     SimpleType,
+    TypeParseError,
     parse_plain_type,
     render_type,
 )
@@ -82,7 +83,6 @@ class Metarule:
 
     kind: str
     params: dict  # parameter -> value, as in the rule's JSON object
-    _parsed: CompoundType | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def make(cls, kind: str, **params) -> "Metarule":
@@ -122,19 +122,15 @@ class Metarule:
             if a not in table:
                 raise LexiconError(f"metarule references unknown atom {a!r}")
         if self.kind == "atom-expansion":
-            self._replacement(table)
+            try:
+                parse_plain_type(p["replacement"], table)
+            except TypeParseError as exc:
+                raise LexiconError(str(exc)) from None
 
     @cached_property
     def _cases(self) -> frozenset[str]:
         # an argument-swap's case atoms, as a set made once per rule
         return frozenset(self.params["cases"])
-
-    def _replacement(self, table: AtomTable) -> CompoundType:
-        # an atom-expansion's replacement, parsed once per rule
-        if self._parsed is None:
-            replacement = parse_plain_type(self.params["replacement"], table)
-            object.__setattr__(self, "_parsed", replacement)
-        return self._parsed
 
     def apply(self, t: CompoundType, table: AtomTable) -> list[CompoundType]:
         """All types derivable from ``t`` by one application."""
@@ -160,10 +156,10 @@ class Metarule:
             ):
                 out.append(CompoundType((parts[1], parts[0]) + parts[2:]))
         elif self.kind == "atom-expansion":
-            replacement = self._replacement(table)
             for i, q in enumerate(parts):
                 if q.atom == p["atom"] and q.exponent == 0 and not q.beta:
-                    out.append(CompoundType(parts[:i] + replacement.parts + parts[i + 1 :]))
+                    replacement = parse_plain_type(p["replacement"], table).parts
+                    out.append(CompoundType(parts[:i] + replacement + parts[i + 1 :]))
         elif self.kind == "slot-flip":
             head = p["head"]
             if len(parts) >= 2:

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pregtrans import data as bundled
 from pregtrans import functors
@@ -182,27 +182,59 @@ def test_bracewise_image_memo_holds_one_entry_per_simple_type():
         image = apply_bracewise(f, BracedType(segments))
         for seg, reverse, got in zip(segments, f.reversal_mask, image.segments):
             assert got == reference_image(f, seg, reverse)
-            pairs |= {(p, reverse) for p in seg.parts} or {(None, reverse)}
-    # one entry per (simple type, reversed) pair, an empty segment's word as one more
-    assert len(f._images) <= len(pairs)
+            pairs |= {(p, reverse) for p in seg.parts}
+    # one entry per (simple type, reversed) pair met, across both directions
+    assert sum(map(len, f._images)) == len(pairs)
+
+
+IMAGE_SOURCE = AtomTable({"a", "b", "c"})
+
+
+def every_image(f, t, u):
+    """The image of t and u under each entry point, the goal t u's as a
+    translation of the words t | u takes it included."""
+    lex = Lexicon("x", IMAGE_SOURCE, {"t": LexiconEntry("t", (t,)), "u": LexiconEntry("u", (u,))})
+    braced = BracedType((t, u))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functors, "_image", lambda *args: calls.append(_image(*args)) or calls[-1])
+        res = translate_sentence(lex, Lexicon("y", IMAGE_TARGET, {}), f,
+                                 WordMap({"t": "", "u": ""}), ["t", "u"], (1,), t + u)
+    return {
+        "hom": (apply_homomorphism(f, t), apply_homomorphism(f, u)),
+        "anti": (apply_antihomomorphism(f, t), apply_antihomomorphism(f, u)),
+        "functor": apply_functor(f, braced),
+        "bracewise": apply_bracewise(f, braced),
+        "functor_image": functor_image(f, [t, u], (1,)).image,
+        "translated": res.translated,
+        "goal": calls[-1],  # translate_sentence maps its goal last
+    }
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.fixed_dictionaries({a: atom_images for a in "abc"}), st.lists(source_types, max_size=4),
-       source_types, st.booleans())
-def test_apply_reads_the_image_memo_and_never_writes_it(atom_map, words, unseen, anti):
-    mode = "antihomomorphism" if anti else "homomorphism"
-    apply = apply_antihomomorphism if anti else apply_homomorphism
-    f = FunctorSpec("x", "y", mode, atom_map, IMAGE_TARGET)
-    fresh = FunctorSpec("x", "y", mode, atom_map, IMAGE_TARGET)
-    functor_image(f, words)
-    held = dict(f._images)
-    for t in [*words, unseen]:
-        assert apply(f, t) == apply(fresh, t) == reference_image(f, t, anti)
-    assert f._images == held and not fresh._images  # no call wrote the memo
-    for t in words:  # a memoised word's image is the memo's, not computed again
-        f._images[t.parts, anti] = ((SimpleType("y", 7),), True)
-        assert apply(f, t) == CompoundType((SimpleType("y", 7),))
+@given(st.fixed_dictionaries({a: atom_images for a in "abc"}), source_types, source_types,
+       st.booleans())
+def test_every_image_is_read_off_one_memo_per_simple_type(atom_map, t, u, flip):
+    f = FunctorSpec("x", "y", "bracewise", atom_map, IMAGE_TARGET, (flip, False))
+
+    def expected(image):
+        pair = BracedType((image(t, flip), image(u, False)))
+        return {"hom": (image(t, False), image(u, False)), "anti": (image(t, True), image(u, True)),
+                "functor": pair, "bracewise": pair, "functor_image": pair, "translated": pair,
+                "goal": image(t + u, False)}
+
+    assert every_image(f, t, u) == expected(lambda x, reverse: reference_image(f, x, reverse))
+    # each direction met every simple type of t and u, and holds one entry for each
+    assert [set(memo) for memo in f._images] == [set(t.parts + u.parts)] * 2
+    for reverse, memo in enumerate(f._images):  # plant an image no atom map gives
+        for i, p in enumerate(memo):
+            memo[p] = (SimpleType("y", 9 + i, bool(reverse)),)
+
+    def planted(x, reverse):
+        return CompoundType(tuple(q for p in (reversed(x.parts) if reverse else x.parts)
+                                  for q in f._images[reverse][p]))
+
+    assert every_image(f, t, u) == expected(planted)
 
 
 # ---- overrides and the goal image ---------------------------------------------------
@@ -446,6 +478,23 @@ def test_argument_swap_post_metarule_swaps_positions(monkeypatch):
     assert res.target_witness == ReductionWitness(((0, 3), (1, 2)), (4,))
 
 
+def test_an_empty_override_leaves_no_position_map_and_the_image_is_searched(tmp_path,
+                                                                             monkeypatch):
+    # n and n^r map to no simple type, so mori ni's n n^r o5 maps to o5
+    table = AtomTable({"n", "s", "o5"})
+    f = load_functor(write_functor(tmp_path, "homomorphism", {"n": "", "n^r": ""}), table, table)
+    words = {"mori": "n", "ni": "n^r o5"}
+    lex = Lexicon("x", table,
+                  {w: LexiconEntry(w, (parse_type(t, table),)) for w, t in words.items()})
+    assert functor_image(f, [parse_type(t, table) for t in words.values()]).where is None
+    searches = []
+    monkeypatch.setattr(functors, "reduce", lambda *args: searches.append(args) or reduce(*args))
+    res = translate_sentence(lex, lex, f, WordMap(words), list(words), source_target="o5")
+    assert render_type(res.translated) == "< o5 >"
+    assert len(searches) == 1 and res.target_witness == ReductionWitness((), (0,))
+    assert res.diagnostic is None
+
+
 def test_jp_ro_hom_searches_where_the_image_is_not_a_reduction(monkeypatch):
     # the override n^l -> n^r is not functorial: the source link n^l n maps
     # to n^r n, which does not contract, but the image type still reduces
@@ -467,6 +516,10 @@ def test_jp_ro_hom_searches_where_the_image_is_not_a_reduction(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.fixed_dictionaries({a: atom_images for a in "abc"}), source_types, source_types,
        st.booleans())
+# a b keeps its length, two simple types, but a maps to none and b to two
+@example({"a": CompoundType(), "b": parse_type("x y", IMAGE_TARGET),
+          "c": parse_type("x", IMAGE_TARGET)},
+         CompoundType((SimpleType("a"), SimpleType("b"))), CompoundType(), False)
 def test_functor_image_is_apply_functor_with_its_position_map(atom_map, t, u, flip):
     # two words in two segments, the first reversed when flip; the image is
     # checked against the iterated adjoints, as apply_functor reads functor_image

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pregtrans import data as bundled
-from pregtrans.core import render_type
+from pregtrans.core import AtomTable, parse_type, render_type
 from pregtrans.lexicon import (
     LexiconError,
     Metarule,
@@ -219,6 +219,17 @@ def test_bad_metarule_params():
         Metarule.make("argument-swap", cases=["o1"], head="s")  # needs >= 2 cases
     with pytest.raises(LexiconError):
         Metarule.make("no-such-kind")
+
+
+def test_atom_expansion_replacement_parses_against_each_table_it_is_given():
+    checked, fresh = (Metarule.make("atom-expansion", atom="o4", replacement="n n^l")
+                      for _ in range(2))
+    checked.check(AtomTable({"o4", "n"}))
+    for rule in (checked, fresh):  # no parse is kept from an earlier table
+        with pytest.raises(LexiconError, match=r"^unknown atom 'n' \(at position 0\)$"):
+            rule.check(AtomTable({"o4"}))
+    table = AtomTable({"o4", "n", "s"})
+    assert checked.apply(parse_type("s o4", table), table) == [parse_type("s n n^l", table)]
 
 
 # ---- sentence typing and round trip ------------------------------------------
