@@ -19,6 +19,7 @@ from .core import (
 from .reduction import (
     ReductionWitness,
     enumerate_reductions,
+    parse_sentence,
     reduce,
     render_diagram,
     type_selections,
@@ -30,7 +31,6 @@ from .lexicon import (
     Metarule,
     UnknownWordError,
     load_lexicon,
-    save_lexicon,
 )
 from .functors import (
     FunctorSpec,

@@ -38,7 +38,7 @@ from .functors import (
     translate_sentence,
 )
 from .lexicon import UnknownWordError, load_lexicon
-from .reduction import DEFAULT_LIMIT, diagram_renderer, render_diagram, type_selections
+from .reduction import DEFAULT_LIMIT, diagram_renderer, parse_sentence, render_diagram
 
 EXIT_CONFIG = 1
 EXIT_LINGUISTIC = 2
@@ -125,30 +125,26 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     out = click.get_text_stream("stdout")
     for line in _sentences(sentence):
         try:
-            alternatives = [lex.alternatives(tok) for tok in line.split()]
+            records = parse_sentence(lex, line.split(), goal, budget)
         except UnknownWordError as exc:  # an error for this line; the batch goes on
             click.echo(f"Error: {exc}", err=True)
             exit_code = EXIT_CONFIG
             continue
-        found, count = [], 0  # (flat type, its rendering, its witnesses)
-        for selection, search in type_selections(alternatives, goal, lex.table):
+        found = []  # (flat type, its rendering, its witnesses) per selection
+        for selection, witnesses in records:
             flat = concat(selection)
-            witnesses = search.witnesses(budget - count)
             found.append((flat, render_type(flat), witnesses))
-            count += len(witnesses)
-            if count >= budget:
-                break
         if fmt == "json":
             out.write(_json_parse_line(line, found, link_text) + "\n")
             out.flush()
-        elif not count:
+        elif not found:
             click.echo(f"not reducible: {line!r} does not reduce to {target!r}")
         else:
             for flat, _, witnesses in found:
                 draw = diagram_renderer(flat, fmt)
                 for w in witnesses:
                     click.echo(draw(w) + "\n")
-        if not count:
+        if not found:
             exit_code = exit_code or EXIT_LINGUISTIC
     sys.exit(exit_code)
 

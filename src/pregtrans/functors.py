@@ -42,7 +42,7 @@ from .core import (
     right_adjoint,
 )
 from .lexicon import Lexicon, Metarule
-from .reduction import ReductionWitness, reduce, type_selections
+from .reduction import ReductionWitness, parse_sentence, reduce
 
 MODES = {"homomorphism", "antihomomorphism", "bracewise"}
 
@@ -369,9 +369,10 @@ def translate_sentence(
     bracing: tuple[int, ...] | None = None,
     source_target: str | CompoundType = "s",
 ) -> TranslationResult:
-    """Translate a tokenized source sentence: find a type selection that
-    reduces to ``source_target`` (a type string, or the type parsed, as the
-    CLI passes it once per batch) in the source grammar, and take the braced
+    """Translate a tokenized source sentence: take the first type selection
+    that reduces to ``source_target`` (a type string, or the type parsed, as
+    the CLI passes it once per batch) in the source grammar, and its first
+    witness, from :func:`parse_sentence` with limit 1, and take the braced
     type through the functor with :func:`functor_image`, which gives the
     image, the position map and the order the target words are realized
     in.  The target witness is the image of the source witness
@@ -385,15 +386,13 @@ def translate_sentence(
     f.mask(len(bounds))  # a bad cut or mask fails first
     goal = (parse_plain_type(source_target, lex_src.table) if isinstance(source_target, str)
             else source_target)
-    alternatives = [lex_src.alternatives(tok) for tok in tokens]
-    for chosen, search in type_selections(alternatives, goal, lex_src.table):
-        break
-    else:
+    found = parse_sentence(lex_src, tokens, goal)
+    if not found:
         raise NotTranslatableError(
             f"no type selection of {tokens} reduces to {render_type(goal)!r} in "
             f"{lex_src.language}"
         )
-    witness = search.witnesses(1)[0]
+    [(chosen, [witness])] = found
 
     source_braced, translated, where, order = _functor_image(f, chosen, bounds)
     flat = translated.flatten()

@@ -28,7 +28,6 @@ metarules naming unknown atoms or with a bad replacement.
 from __future__ import annotations
 
 import difflib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -110,9 +109,6 @@ class Metarule:
             for name, json_kind in METARULE_PARAMS.get(kind, {}).items()
         }
         return rule.wrap(None, cls.make, kind, **params)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **self.params}
 
     def check(self, table: AtomTable):
         """Raise :class:`LexiconError` unless every atom the rule names is in
@@ -259,23 +255,6 @@ class Lexicon:
             frontier = new
         return frozenset(closed)
 
-    def to_dict(self) -> dict:
-        return {
-            "language": self.language,
-            "atoms": sorted(self.table.atoms),
-            "order": sorted(list(p) for p in self.table.order_pairs),
-            "entries": [
-                {
-                    "word": e.word,
-                    **({"aliases": list(e.aliases)} if e.aliases else {}),
-                    "types": sorted(render_type(t) for t in e.types),
-                }
-                for e in (self.entries[w] for w in sorted(self.entries))
-            ],
-            "metarules": [r.to_json() for r in self.metarules],
-            "empty_words": sorted(render_type(t) for t in self.empty_words),
-        }
-
 
 _parts = attrgetter("parts")
 
@@ -368,9 +347,3 @@ def load_lexicon(path: str | Path) -> Lexicon:
     if errors:
         raise LexiconError(f"{doc.where}: " + "; ".join(errors))
     return Lexicon(language, table, words, rules, tuple(empty_words))
-
-
-def save_lexicon(lex: Lexicon, path: str | Path):
-    Path(path).write_text(
-        json.dumps(lex.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )

@@ -16,7 +16,9 @@ step, and empty edges are looked up only in a search that has them.  A
 lattice search only decides; witnesses are read off a flat search with
 explicit stacks.  :func:`type_selections` decides which selections reduce, after a
 count check that refuses the alternatives whose count code
-(``AtomTable.counts``) cannot balance against the target's.  Induced order
+(``AtomTable.counts``) cannot balance against the target's, and
+:func:`parse_sentence`, the one walk behind CLI ``parse`` and
+translation, reads witnesses off them up to a limit.  Induced order
 steps (s1 -> s, n -> pi) are folded into the contraction partners.  One
 linear bracket scan, :meth:`ReductionWitness.partners`, checks a witness
 for :func:`render_diagram` and for ``semantics.interpret``, and
@@ -355,6 +357,25 @@ def type_selections(alternatives, target: CompoundType, table: AtomTable):
             todo.append((d, i + 1, None, rest))
         if found is None or found.reduces():
             todo.append((d + 1, 0, found, rest - codes[d][a]))
+
+
+def parse_sentence(lexicon, tokens, goal: CompoundType, limit: int = 1) -> list:
+    """One ``(selection, witnesses)`` record per type selection of
+    ``tokens`` that reduces to ``goal``, in :func:`type_selections` order,
+    each with its first witnesses in search order (see
+    :meth:`SpanSearch.witnesses`), until ``limit`` witnesses are taken over
+    all selections.  ``lexicon`` gives each token's types as
+    ``alternatives(token)``, so an unknown word raises before any search,
+    and the atom table as ``table``."""
+    alternatives = [lexicon.alternatives(tok) for tok in tokens]
+    found = []
+    for selection, search in type_selections(alternatives, goal, lexicon.table):
+        witnesses = search.witnesses(limit)
+        found.append((selection, witnesses))
+        limit -= len(witnesses)
+        if not limit:
+            break
+    return found
 
 
 def enumerate_reductions(

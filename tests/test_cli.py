@@ -657,6 +657,14 @@ def test_readme_library_example_prints_what_its_comment_says(capsys):
     assert capsys.readouterr().out == said.group(1) + "\n"
 
 
+def test_readme_parse_example_prints_its_last_comment_lines(capsys):
+    code = readme_section("Library").split("```python\n")[2].split("```", 1)[0]
+    said = re.search(r"(?:^# .*\n)+\Z", code, re.M)
+    assert said is not None
+    exec(code, {})
+    assert capsys.readouterr().out == re.sub(r"^# ", "", said.group(0), flags=re.M)
+
+
 def test_readme_names_every_naturality_square():
     section = " ".join(readme_section("CLI").split())
     claim = re.search(r"`check naturality` checks (.*?) at `--tol`", section)

@@ -1,4 +1,4 @@
-"""Lexicon loading, aliases, metarule closure, round-tripping."""
+"""Lexicon loading, aliases and metarule closure."""
 
 import json
 
@@ -11,7 +11,6 @@ from pregtrans.lexicon import (
     Metarule,
     UnknownWordError,
     load_lexicon,
-    save_lexicon,
 )
 
 
@@ -230,18 +229,3 @@ def test_atom_expansion_replacement_parses_against_each_table_it_is_given():
             rule.check(AtomTable({"o4"}))
     table = AtomTable({"o4", "n", "s"})
     assert checked.apply(parse_type("s o4", table), table) == [parse_type("s n n^l", table)]
-
-
-# ---- sentence typing and round trip ------------------------------------------
-
-@pytest.mark.parametrize("name", ["ja", "ja_mini", "en", "fa", "ro"])
-def test_save_load_roundtrip(name, tmp_path):
-    lex = load_lexicon(bundled.lexicon_path(name))
-    p = tmp_path / f"{name}2.json"
-    save_lexicon(lex, p)
-    again = load_lexicon(p)
-    assert again.language == lex.language
-    assert again.to_dict() == lex.to_dict()
-    aliases = [alias for entry in lex.entries.values() for alias in entry.aliases]
-    for word in [*lex.entries, *aliases, "@0"]:
-        assert renders(again, word) == renders(lex, word)

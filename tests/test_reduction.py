@@ -4,19 +4,21 @@ import itertools
 import re
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pregtrans import data, reduction
 from pregtrans.checks import OracleSizeError, oracle_reduce, oracle_selections
 from pregtrans.core import AtomTable, CompoundType, SimpleType, parse_type
-from pregtrans.lexicon import load_lexicon
+from pregtrans.lexicon import UnknownWordError, load_lexicon
 from pregtrans.reduction import (
     ReductionWitness,
     SpanSearch,
     WitnessError,
     enumerate_reductions,
+    parse_sentence,
     reduce,
     render_diagram,
     type_selections,
@@ -663,11 +665,14 @@ def selections(lex, sentence, target="s"):
     return list(type_selections(alternatives, parse_type(target, lex.table), lex.table))
 
 
-@pytest.mark.parametrize("lex, sentence", [
+UNBALANCED = [
     ("en", "pigeons eat bread and bread and bread eat"),  # a final n^l: n sums to -1
     ("ja", "neko ni tuita ga neko ni tuita ga hon wo kaita ga"),  # ends in ga
     ("ja", "neko ga wo taberu"),  # o2 sums to -1
-])
+]
+
+
+@pytest.mark.parametrize("lex, sentence", UNBALANCED)
 def test_sentence_whose_count_cannot_balance_builds_no_search(searches, lex, sentence):
     assert selections(load_lexicon(data.lexicon_path(lex)), sentence) == []
     assert searches == []
@@ -694,3 +699,90 @@ def test_mixed_ambiguity_stress_sentence_is_refused_quickly():
     start = time.perf_counter()
     assert selections(ja, "neko ga neko no neko ni untensita " * 20) == []
     assert time.perf_counter() - start < 1.0
+
+
+# ---- parse_sentence: witnesses across selections, up to a limit --------------
+
+def lattice_lexicon(alternatives):
+    """A stand-in lexicon whose token i has the types ``alternatives[i]``."""
+    return SimpleNamespace(alternatives=alternatives.__getitem__, table=TABLE)
+
+
+unit_pairs = SIMPLE.flatmap(
+    lambda x: st.sampled_from(sorted(TABLE.partners[x], key=repr)).map(lambda y: (x, y)))
+
+
+@st.composite
+def ambiguous_lattices(draw):
+    """Tokens and a goal: the first alternatives spell the goal's parts with
+    up to two pairs x y (y a partner of x) put in, so they reduce, and
+    twice a token drawn takes one more alternative: its first with a pair
+    x y appended, which reduces too, or a random one.  A lattice of the
+    ``lattices`` strategy seldom has two selections that reduce; here most
+    do.  A selection has at most 12 simple types, the oracle's limit."""
+    goal = draw(goals)
+    parts = list(goal.parts)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(parts)))
+        parts[at:at] = draw(unit_pairs)
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, len(parts)), max_size=3))), len(parts)]
+    tokens = [[CompoundType(tuple(parts[a:b]))] for a, b in zip(bounds, bounds[1:])]
+    for _ in range(2):
+        alts = draw(st.sampled_from(tokens))
+        longer = unit_pairs.map(lambda pair: CompoundType(alts[0].parts + pair))
+        other = draw(st.one_of(longer, alternative))
+        if other not in alts:
+            alts.append(other)
+    return tokens, goal
+
+
+sentences = st.one_of(st.tuples(lattices, goals), ambiguous_lattices())
+# old cats and cats over c: two selections reduce, with 2 and 3 witnesses
+OLD_CATS = ([[parse_type("c c^l", TABLE), parse_type("c c^l c c^r", TABLE)],
+             [parse_type("c", TABLE)], [parse_type("c^r c c^l", TABLE)], [parse_type("c", TABLE)]],
+            parse_type("c", TABLE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences)
+@example(OLD_CATS)
+def test_parse_sentence_without_a_binding_limit_is_the_oracle(drawn):
+    alternatives, goal = drawn
+    want = oracle_selections(alternatives, goal, TABLE)
+    total = sum(len(witnesses) for _, witnesses in want)
+    tokens = range(len(alternatives))
+    assert parse_sentence(lattice_lexicon(alternatives), tokens, goal, total + 1) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences)
+@example(OLD_CATS)
+def test_parse_sentence_spends_the_limit_across_selections(drawn):
+    alternatives, goal = drawn
+    want = oracle_selections(alternatives, goal, TABLE)
+    lexicon, tokens = lattice_lexicon(alternatives), range(len(alternatives))
+    for limit in (1, 2, 3, 5):
+        got = parse_sentence(lexicon, tokens, goal, limit)
+        assert [s for s, _ in got] == [s for s, _ in want[:len(got)]]
+        budget = limit
+        for (_, witnesses), (_, every) in zip(got, want):
+            assert len(witnesses) == min(budget, len(every))
+            assert set(witnesses) <= set(every)
+            budget -= len(witnesses)
+        # each record holds a witness, so none is taken once the budget is spent
+        assert all(witnesses for _, witnesses in got)
+        assert budget == 0 or len(got) == len(want)
+
+
+@pytest.mark.parametrize("lex, sentence", UNBALANCED)
+def test_parse_sentence_whose_count_cannot_balance_builds_no_search(searches, lex, sentence):
+    lexicon = load_lexicon(data.lexicon_path(lex))
+    assert parse_sentence(lexicon, sentence.split(), parse_type("s", lexicon.table)) == []
+    assert searches == []
+
+
+def test_parse_sentence_raises_on_an_unknown_word_before_any_search(searches):
+    ja = load_lexicon(data.lexicon_path("ja"))
+    with pytest.raises(UnknownWordError):
+        parse_sentence(ja, "neko ga xyzzy".split(), parse_type("s", ja.table))
+    assert searches == []

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package or the tests imports a name it
 never uses, no module of the package defines a private name, or a
-private method or class attribute, it never reads, and the README lists
-every module."""
+private method or class attribute, it never reads, the sentence walk
+lives in one place, and the README lists every module."""
 
 import ast
 import re
@@ -165,6 +165,36 @@ def test_self_call_is_found():
         "        return self.walk([])\n"
     )
     assert self_calls(source) == ["line 2: f", "line 6: walk"]
+
+
+def calls_named(source: str, names) -> list[str]:
+    """Calls ``f(...)`` or ``x.f(...)`` of a function or method named in
+    ``names``."""
+    found = []
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name in names:
+                found.append(f"line {call.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("name", ["cli.py", "functors.py"])
+def test_one_sentence_walk(name):
+    # selections and their witnesses are walked only in reduction.parse_sentence
+    source = (PACKAGE / name).read_text(encoding="utf-8")
+    assert calls_named(source, {"type_selections", "witnesses"}) == []
+
+
+def test_call_by_name_is_found():
+    source = (
+        "for s, search in type_selections(a, g, t):\n"
+        "    ws = search.witnesses(1)\n"
+        "found = parse_sentence(lex, tokens, goal)\n"
+        "witnesses = [w for _, w in found] + _SUITES[name](1)\n"
+    )
+    assert calls_named(source, {"type_selections", "witnesses"}) == [
+        "line 1: type_selections", "line 2: witnesses"]
 
 
 def test_readme_names_every_module():
