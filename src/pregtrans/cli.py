@@ -79,7 +79,7 @@ class _Group(click.Group):
 def _locate(name: str, bundled_path) -> Path:
     """The file at path ``name``, or else the bundled data file so named."""
     path = Path(name)
-    return path if path.exists() else bundled_path(name)
+    return path if path.is_file() else bundled_path(name)
 
 
 def _goal(target: str, table: AtomTable) -> CompoundType:

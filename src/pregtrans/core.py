@@ -134,14 +134,14 @@ class _Index(dict):
 
 
 class _Counts(dict):
-    """simple type -> its count digit, and type or tuple of simple types (a
-    type's parts, the faster key) -> its count code, filled on first
-    lookup.  A digit is ``1 << 64 * (2 * class + beta)``, negated at odd
-    exponents, where the classes are the connected components of the order
-    ``pairs`` over ``atoms``, numbered in the order of their least atoms; a
-    code is the sum of its simple types' digits.  A contraction or an
-    induced step keeps each class and tag's sum of (-1)^exponent, so a
-    string reduces to a goal only if their codes are equal."""
+    """simple type -> its count digit, and tuple of simple types (a type's
+    parts) -> its count code, filled on first lookup.  A digit is
+    ``1 << 64 * (2 * class + beta)``, negated at odd exponents, where the
+    classes are the connected components of the order ``pairs`` over
+    ``atoms``, numbered in the order of their least atoms; a code is the
+    sum of its simple types' digits.  A contraction or an induced step
+    keeps each class and tag's sum of (-1)^exponent, so a string reduces
+    to a goal only if their codes are equal."""
 
     __slots__ = ("shift",)
 
@@ -167,9 +167,6 @@ class _Counts(dict):
     def __missing__(self, x):
         if type(x) is tuple:  # a tuple hashes in C, a compound type in Python
             found = self[x] = sum(map(self.__getitem__, x))
-            return found
-        if type(x) is not SimpleType:
-            found = self[x] = self[flatten(x).parts]
             return found
         if x.atom not in self.shift:
             raise UnknownAtomError(x.atom)

@@ -209,38 +209,28 @@ class Lexicon:
         self.entries = dict(entries)
         self.metarules = list(metarules)
         self.empty_words = tuple(empty_words)
-        self._alternatives: dict[str, tuple[CompoundType, ...]] = {}  # see alternatives()
-        self._aliases = {}
-        for entry in self.entries.values():
-            for alias in entry.aliases:
-                self._aliases[alias] = entry.word
+        self._types: dict[str, tuple[CompoundType, ...]] = {}  # see types_of()
+        # token -> its entry: aliases first, so a word wins over another entry's alias
+        self._tokens = {alias: entry for entry in self.entries.values() for alias in entry.aliases}
+        self._tokens.update(self.entries)
 
-    def resolve(self, token: str) -> str | None:
-        if token in self.entries:
-            return token
-        return self._aliases.get(token)
-
-    def types_of(self, word: str) -> frozenset[CompoundType]:
-        """The word's types closed under the metarules (bounded depth)."""
-        return frozenset(self.alternatives(word))
-
-    def alternatives(self, word: str) -> tuple[CompoundType, ...]:
-        """The word's types (see :meth:`types_of`) in rendered order, the
-        order in which type selections try them, computed on first use and
-        kept: a lexicon does not change."""
-        found = self._alternatives.get(word)
+    def types_of(self, token: str) -> tuple[CompoundType, ...]:
+        """The types of the word or alias ``token`` closed under the
+        metarules (bounded depth), as a tuple in rendered order, the order
+        in which type selections try them; computed on first use and kept,
+        as a lexicon does not change."""
+        found = self._types.get(token)
         if found is None:
-            found = self._alternatives[word] = tuple(sorted(self._close(word), key=render_type))
+            found = self._types[token] = tuple(sorted(self._close(token), key=render_type))
         return found
 
-    def _close(self, word: str) -> frozenset[CompoundType]:
-        if word in EMPTY_TOKENS:
-            return frozenset(self.empty_words)
-        key = self.resolve(word)
-        if key is None:
-            near = difflib.get_close_matches(word, list(self.entries) + list(self._aliases))
-            raise UnknownWordError(word, near)
-        closed = set(self.entries[key].types)
+    def _close(self, token: str) -> set[CompoundType]:
+        if token in EMPTY_TOKENS:
+            return set(self.empty_words)
+        entry = self._tokens.get(token)
+        if entry is None:
+            raise UnknownWordError(token, difflib.get_close_matches(token, list(self._tokens)))
+        closed = set(entry.types)
         frontier = set(closed)
         for _ in range(CLOSURE_DEPTH):
             new = set()
@@ -253,7 +243,7 @@ class Lexicon:
                 break
             closed |= new
             frontier = new
-        return frozenset(closed)
+        return closed
 
 
 _parts = attrgetter("parts")

@@ -18,7 +18,8 @@ explicit stacks.  :func:`type_selections` decides which selections reduce, after
 count check that refuses the alternatives whose count code
 (``AtomTable.counts``) cannot balance against the target's, and
 :func:`parse_sentence`, the one walk behind CLI ``parse`` and
-translation, reads witnesses off them up to a limit.  Induced order
+translation, looks each token's types up with ``Lexicon.types_of`` and
+reads witnesses off the selections up to a limit.  Induced order
 steps (s1 -> s, n -> pi) are folded into the contraction partners.  One
 linear bracket scan, :meth:`ReductionWitness.partners`, checks a witness
 for :func:`render_diagram` and for ``semantics.interpret``, and
@@ -365,9 +366,12 @@ def parse_sentence(lexicon, tokens, goal: CompoundType, limit: int = 1) -> list:
     each with its first witnesses in search order (see
     :meth:`SpanSearch.witnesses`), until ``limit`` witnesses are taken over
     all selections.  ``lexicon`` gives each token's types as
-    ``alternatives(token)``, so an unknown word raises before any search,
-    and the atom table as ``table``."""
-    alternatives = [lexicon.alternatives(tok) for tok in tokens]
+    ``types_of(token)``, so an unknown word raises before any search,
+    and the atom table as ``table``.  A ``limit`` below 1 raises
+    ValueError before any token is looked up."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    alternatives = [lexicon.types_of(tok) for tok in tokens]
     found = []
     for selection, search in type_selections(alternatives, goal, lexicon.table):
         witnesses = search.witnesses(limit)

@@ -233,9 +233,14 @@ class AlphaSpec:
                 raise SemanticsError(f"component for {atom!r} is not a square matrix")
             if not np.isfinite(mat).all():
                 raise SemanticsError(f"component for {atom!r} has non-finite entries")
-            if abs(np.linalg.det(mat)) < 1e-12:
+            try:
+                inverse = np.linalg.inv(mat)
+                cond = np.abs(mat).sum(0).max(initial=0) * np.abs(inverse).sum(0).max(initial=0)
+            except np.linalg.LinAlgError:
+                cond = np.inf
+            if not cond <= 1e12:  # singular, or its 1-norm condition number is above 1e12
                 raise SemanticsError(f"component for {atom!r} is not invertible")
-            carriers[atom] = (mat, np.linalg.inv(mat).T)
+            carriers[atom] = (mat, inverse.T)
         return cls(carriers, dict(word_overrides or {}))
 
     def component(self, atom: str, exponent: int = 0) -> np.ndarray:

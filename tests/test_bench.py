@@ -22,3 +22,7 @@ def test_bench_workload_runs_correctly(workload):
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    if workload == "corpus":  # the CLI's lookups reach the wrapped Lexicon.types_of
+        metrics = result["metrics"]
+        assert metrics["lexicon.types_of.calls"]["value"] > 0
+        assert metrics["lexicon.alternatives_per_token"]["value"] >= 1

@@ -126,7 +126,7 @@ def _found(lexicon, line, limit):
     ``line`` to n, up to ``limit`` witnesses in all, or None for a line
     with an unknown word."""
     try:
-        alternatives = [lexicon.alternatives(tok) for tok in line.split()]
+        alternatives = [lexicon.types_of(tok) for tok in line.split()]
     except UnknownWordError:
         return None
     found, count = [], 0
@@ -146,7 +146,7 @@ def test_parse_all_json_is_byte_identical_to_the_reference_encoding(runner, tmp_
     lines = MIXED_LINES
     lexicon = load_lexicon(lex)
     with pytest.raises(UnknownWordError) as unknown:
-        lexicon.alternatives("dogs")
+        lexicon.types_of("dogs")
     for limit in (1, 2, 4, 1024):
         expected = [_reference_line(line, found) for line in lines
                     if (found := _found(lexicon, line, limit)) is not None]
@@ -630,6 +630,14 @@ def test_validate(runner):
     assert "ok" in r.output
     r = runner.invoke(main, ["validate", "nope"])
     assert r.exit_code == 1
+
+
+def test_a_directory_named_like_a_bundled_file_does_not_hide_it(runner, tmp_path, monkeypatch):
+    (tmp_path / "ja").mkdir()
+    monkeypatch.chdir(tmp_path)
+    r = runner.invoke(main, ["validate", "ja"])
+    assert r.exit_code == 0, r.output
+    assert "ok" in r.output
 
 
 # ---- README ------------------------------------------------------------------

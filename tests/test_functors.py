@@ -448,7 +448,7 @@ def test_psi_target_witness_is_the_image_with_the_flip_swapped(monkeypatch):
     # slot-flip rewrites the second segment's image s o1^l ... to o1^r s ...,
     # so the map sends kaku's o1^r (7) and s (8) to 3 and 4, not 4 and 3
     src, tgt, f, wm = bundle("psi")
-    types = [src.alternatives(tok)[0] for tok in ["issya", "ga", "tegami", "wo", "kaku"]]
+    types = [src.types_of(tok)[0] for tok in ["issya", "ga", "tegami", "wo", "kaku"]]
     assert functor_image(f, types, (2,)).where == [2, 1, 0, 8, 7, 6, 5, 3, 4]
 
     monkeypatch.setattr(functors, "reduce", no_search)
@@ -506,7 +506,7 @@ def test_jp_ro_hom_searches_where_the_image_is_not_a_reduction(monkeypatch):
     monkeypatch.setattr(functors, "reduce", lambda *args: searches.append(args) or reduce(*args))
     res = translate_sentence(src, tgt, f, wm, ["@0", "neko"], source_target="o1 s^r n")
     assert render_type(res.translated) == "< n s^r n n^r n >"
-    assert image_witness(functor_image(f, [src.alternatives(t)[0] for t in ["@0", "neko"]]).where,
+    assert image_witness(functor_image(f, [src.types_of(t)[0] for t in ["@0", "neko"]]).where,
                          res.source_witness) == ReductionWitness(((3, 4),), (0, 1, 2))
     assert len(searches) == 1
     assert res.target_witness == ReductionWitness(((2, 3),), (0, 1, 4))

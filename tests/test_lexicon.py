@@ -7,6 +7,8 @@ import pytest
 from pregtrans import data as bundled
 from pregtrans.core import AtomTable, parse_type, render_type
 from pregtrans.lexicon import (
+    Lexicon,
+    LexiconEntry,
     LexiconError,
     Metarule,
     UnknownWordError,
@@ -210,7 +212,16 @@ def test_apply_once_identity_when_no_match():
 def test_closure_is_idempotent(ja):
     first = ja.types_of("taberu")
     again = ja.types_of("taberu")
-    assert first == again
+    assert type(first) is tuple and again is first  # kept after the first call
+
+
+def test_a_word_wins_over_another_entrys_alias():
+    # the loader refuses this lexicon; one built directly keeps the word's types
+    table = AtomTable({"n", "s"})
+    entries = {"a": LexiconEntry("a", (parse_type("n", table),), ("b",)),
+               "b": LexiconEntry("b", (parse_type("s", table),))}
+    lex = Lexicon("xx", table, entries)
+    assert [render_type(t) for t in lex.types_of("b")] == ["s"]
 
 
 def test_bad_metarule_params():

@@ -158,7 +158,7 @@ def test_search_needs_no_deep_stack():
     coordination = parse_type("n n^l n" + " n^r n n^l n" * 39, NS)
     ja = load_lexicon(data.lexicon_path("ja"))
     words = ("neko no " * 80 + "neko ga sakana wo taberu").split()
-    alternatives = [ja.alternatives(word) for word in words]
+    alternatives = [ja.types_of(word) for word in words]
     goal = parse_type("n", NS)
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(call_depth() + 60)
@@ -661,7 +661,7 @@ def searches(monkeypatch):
 
 
 def selections(lex, sentence, target="s"):
-    alternatives = [lex.alternatives(word) for word in sentence.split()]
+    alternatives = [lex.types_of(word) for word in sentence.split()]
     return list(type_selections(alternatives, parse_type(target, lex.table), lex.table))
 
 
@@ -705,7 +705,7 @@ def test_mixed_ambiguity_stress_sentence_is_refused_quickly():
 
 def lattice_lexicon(alternatives):
     """A stand-in lexicon whose token i has the types ``alternatives[i]``."""
-    return SimpleNamespace(alternatives=alternatives.__getitem__, table=TABLE)
+    return SimpleNamespace(types_of=alternatives.__getitem__, table=TABLE)
 
 
 unit_pairs = SIMPLE.flatmap(
@@ -786,3 +786,13 @@ def test_parse_sentence_raises_on_an_unknown_word_before_any_search(searches):
     with pytest.raises(UnknownWordError):
         parse_sentence(ja, "neko ga xyzzy".split(), parse_type("s", ja.table))
     assert searches == []
+
+
+@pytest.mark.parametrize("sentence", ["neko ga sakana wo taberu", "neko neko", "neko ga xyzzy"])
+@pytest.mark.parametrize("limit", [0, -1])
+def test_parse_sentence_checks_the_limit_before_any_lookup(searches, sentence, limit):
+    # one sentence reduces, one does not, one has an unknown word: each raises
+    ja = load_lexicon(data.lexicon_path("ja"))
+    with pytest.raises(ValueError, match=r"^limit must be >= 1$"):
+        parse_sentence(ja, sentence.split(), parse_type("s", ja.table), limit)
+    assert searches == [] and ja._types == {}

@@ -406,6 +406,21 @@ def test_alpha_requires_invertible_components():
         AlphaSpec.make({"n": np.ones((2, 3))})
 
 
+def test_alpha_invertibility_does_not_depend_on_scale():
+    # det 1e-15 but condition number 1: accepted, and the square commutes
+    spaces, tensors = load_tensor_fixture(bundled.tensor_path("adj_noun"))
+    table = AtomTable(dict(spaces.dims).keys())
+    w = reduce(flat_type(tensors), parse_type("n", table), table)
+    hom = FunctorSpec("ja", "en", "homomorphism", IDENTITY_MAP, EN)
+    report = check_naturality(AlphaSpec.make({"n": 1e-5 * np.eye(3)}), w, tensors, hom, w, 1e-9)
+    assert report.ok, report.max_residual
+    # det 0.1 but condition number 1e13: refused
+    with pytest.raises(SemanticsError, match=r"^component for 'n' is not invertible$"):
+        AlphaSpec.make({"n": np.diag([1e6, 1e-7, 1])})
+    with pytest.raises(SemanticsError, match=r"^component for 'n' is not invertible$"):
+        AlphaSpec.make({"n": np.zeros((3, 3))})
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_alpha_refuses_non_finite_components(bad):
     mat = np.eye(2)
@@ -905,7 +920,7 @@ def translated_square(name, sentence, goal, seed):
                                 tokens, bracing, source_target=goal)
     assert result.target_witness is not None
     # the type chosen for each word: the one selection whose types concatenate to the source type
-    chosen = next(types for types in itertools.product(*map(src.alternatives, tokens))
+    chosen = next(types for types in itertools.product(*map(src.types_of, tokens))
                   if concat(types) == result.source_type.flatten())
     rng = np.random.default_rng(seed)
     spaces = SpaceAssignment.make({a: int(rng.integers(1, 5)) for a in sorted(src.table.atoms)})
