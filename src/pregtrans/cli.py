@@ -12,6 +12,9 @@ as a ``\\u`` escape), so ``click.echo``'s ANSI stripping could change
 nothing there.  Text and dot output keep ``click.echo``, since stripping
 can change the bytes of a line that echoes an escape sequence from the
 input.
+
+Only ``check`` imports the check suites and the tensor semantics, and with
+them numpy; ``parse``, ``translate`` and ``validate`` load neither.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import click
 
-from . import checks, data as bundled
+from . import data as bundled
 from .core import (
     AtomTable,
     CompoundType,
@@ -259,16 +262,8 @@ def _json_translate_line(line: str, result) -> str:
                "null" if diagnostic is None else _json_string(diagnostic)))
 
 
-# suite -> its failures, given --tol, --max-len and --count
-_SUITES = {
-    "laws": lambda tol, max_len, count: checks.law_failures(),
-    "naturality": lambda tol, max_len, count: checks.naturality_failures(tol),
-    "oracle": lambda tol, max_len, count: checks.oracle_failures(max_len, count),
-}
-
-
 @main.command(name="check")
-@click.argument("suite", type=click.Choice(list(_SUITES)))
+@click.argument("suite", type=click.Choice(["laws", "naturality", "oracle"]))
 @click.option("--tol", default=1e-9, show_default=True)
 @click.option("--max-len", default=8, show_default=True)
 @click.option("--count", default=300, show_default=True)
@@ -276,6 +271,8 @@ _SUITES = {
 def cmd_check(suite, tol, max_len, count, fmt):
     """Run a property suite: pregroup/functor laws, naturality squares,
     or the DP-versus-brute-force reduction oracle."""
+    from . import checks  # loads numpy, which no other command needs
+
     if not 0 <= tol < float("inf"):  # false for nan too
         raise CliError("--tol must be a finite number at least 0")
     if suite == "oracle":
@@ -286,7 +283,12 @@ def cmd_check(suite, tol, max_len, count, fmt):
                            f"{checks.ORACLE_MAX_LEN}")
         if count < 1:
             raise CliError("--count must be at least 1")
-    failures = _SUITES[suite](tol, max_len, count)
+    if suite == "laws":
+        failures = checks.law_failures()
+    elif suite == "naturality":
+        failures = checks.naturality_failures(tol)
+    else:
+        failures = checks.oracle_failures(max_len, count)
     if fmt == "json":
         click.echo(json.dumps({"suite": suite, "ok": not failures, "failures": failures}))
     else:

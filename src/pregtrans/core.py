@@ -57,7 +57,7 @@ class JsonObject:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:  # or nested too deep
             raise error(f"{path}: {exc}") from exc
         return cls(data, str(path), error, items)
 

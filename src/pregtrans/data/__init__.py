@@ -1,6 +1,5 @@
 """Bundled lexicons, functors, word maps, and tensor fixtures."""
 
-from importlib import resources
 from pathlib import Path
 
 # default wordmap and source/target lexicons per bundled functor
@@ -13,7 +12,7 @@ FUNCTOR_REGISTRY = {
 }
 
 
-_ROOT = Path(str(resources.files(__package__)))  # resolved once, not on every lookup
+_ROOT = Path(__file__).parent
 
 
 def data_path(*parts: str) -> Path:

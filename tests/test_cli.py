@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -630,6 +632,40 @@ def test_validate(runner):
     assert "ok" in r.output
     r = runner.invoke(main, ["validate", "nope"])
     assert r.exit_code == 1
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, importing this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_validate_a_lexicon_nested_too_deeply_exits_1_without_traceback(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"atoms": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    r = _python("-m", "pregtrans.cli", "validate", str(path))
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith(f"Error: {path}: ") and "Traceback" not in r.stderr, r.stderr
+
+
+# run in a fresh interpreter: what importing the CLI loads, then what the
+# package resolves on first use
+IMPORT_PROBE = """\
+import sys
+import pregtrans.cli
+print(sorted({"numpy", "pregtrans.semantics", "pregtrans.checks"} & set(sys.modules)))
+import pregtrans
+print(pregtrans.load_tensor_fixture.__module__, pregtrans.semantics.__name__,
+      getattr(pregtrans, "interpret", None))
+"""
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_the_semantics():
+    r = _python("-c", IMPORT_PROBE)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]", "pregtrans.semantics pregtrans.semantics None"]
 
 
 def test_a_directory_named_like_a_bundled_file_does_not_hide_it(runner, tmp_path, monkeypatch):

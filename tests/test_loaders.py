@@ -3,6 +3,7 @@ a bundled data file with one field, at any depth, replaced by a random
 JSON value either loads or raises that error, never another exception."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from pregtrans import data as bundled
 from pregtrans.core import PregroupError
-from pregtrans.functors import load_functor, load_wordmap
-from pregtrans.lexicon import load_lexicon
-from pregtrans.semantics import load_tensor_fixture
+from pregtrans.functors import FunctorError, load_functor, load_wordmap
+from pregtrans.lexicon import LexiconError, load_lexicon
+from pregtrans.semantics import SemanticsError, load_tensor_fixture
 
 TABLES = {name: load_lexicon(bundled.lexicon_path(name)).table
           for name in ("ja", "ja_mini", "en", "fa", "ro")}
@@ -88,3 +89,20 @@ def test_loader_raises_only_pregroup_errors(workdir, kind, draw):
         load(path)
     except PregroupError as exc:
         assert str(path) in str(exc)
+
+
+# a document nested deeper than json.loads can decode
+TOO_DEEP = '{"atoms": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("lexicon", LexiconError), ("functor", FunctorError), ("wordmap", FunctorError),
+    ("tensor", SemanticsError),
+])
+def test_a_file_nested_too_deeply_raises_the_loaders_error(workdir, kind, error):
+    names, _, load = KINDS[kind]
+    path = workdir / f"deep-{kind}" / f"{sorted(names)[0]}.json"
+    path.parent.mkdir()
+    path.write_text(TOO_DEEP)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+        load(path)
