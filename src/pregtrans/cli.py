@@ -79,10 +79,17 @@ class _Group(click.Group):
         return _configured(super().invoke, ctx)
 
 
-def _locate(name: str, bundled_path) -> Path:
-    """The file at path ``name``, or else the bundled data file so named."""
+def _locate(option: str, name: str, bundled_path, kind: str) -> Path:
+    """The file at path ``name``, or else the bundled ``kind`` so named;
+    an error naming ``option`` and ``name`` as given if neither exists."""
     path = Path(name)
-    return path if path.is_file() else bundled_path(name)
+    if path.is_file():
+        return path
+    try:
+        return bundled_path(name)
+    except FileNotFoundError:
+        message = f"{option} {name!r}: no such file and no bundled {kind} of that name"
+        raise CliError(message) from None
 
 
 def _goal(target: str, table: AtomTable) -> CompoundType:
@@ -120,7 +127,7 @@ def cmd_parse(sentence, lexicon_name, target, enumerate_all, limit, fmt):
     """
     if enumerate_all and limit < 1:
         raise CliError("--limit must be at least 1")
-    lex = load_lexicon(_locate(lexicon_name, bundled.lexicon_path))
+    lex = load_lexicon(_locate("--lex", lexicon_name, bundled.lexicon_path, "lexicon"))
     goal = _goal(target, lex.table)
     exit_code = 0
     budget = limit if enumerate_all else 1
@@ -166,13 +173,16 @@ def _json_parse_line(line: str, found, link_text: _LinkText) -> str:
     ``json.dumps`` (``ensure_ascii=False``) of ``{"sentence", "reducible",
     "witnesses"}`` with a ``{"type", "links", "residue"}`` dict per witness,
     written directly: the type once per selection, each distinct link once
-    in ``link_text``."""
-    items, text = [], link_text.__getitem__
+    in ``link_text`` and each distinct residue's closing text once per
+    line."""
+    items, text, tails = [], link_text.__getitem__, {}
     for _, shown, witnesses in found:
         head = '{"type": %s, "links": [' % _json_string(shown)
-        items.extend('%s%s], "residue": [%s]}' % (head, ", ".join(map(text, w.links)),
-                                                  ", ".join(map(str, w.residue)))
-                     for w in witnesses)
+        for links, residue in witnesses:
+            tail = tails.get(residue)
+            if tail is None:
+                tail = tails[residue] = '], "residue": [%s]}' % ", ".join(map(str, residue))
+            items.append(f"{head}{', '.join(map(text, links))}{tail}")
     return ('{"sentence": %s, "reducible": %s, "witnesses": [%s]}'
             % (_json_string(line), "true" if items else "false",
                ", ".join(items)))
@@ -192,18 +202,18 @@ def cmd_translate(sentence, functor_name, wordmap_name, src_name, tgt_name, targ
     Without SENTENCE, reads one sentence per line from standard input.
     """
     defaults = bundled.FUNCTOR_REGISTRY.get(functor_name, {})
-    functor_path = _locate(functor_name, bundled.functor_path)
+    functor_path = _locate("--functor", functor_name, bundled.functor_path, "functor")
     lexicons = []
     for name, role in ((src_name, "src"), (tgt_name, "tgt")):
         if name is None and role not in defaults:
             raise CliError(f"functor {functor_name!r} needs an explicit --{role} lexicon")
-        path = _locate(name or defaults[role], bundled.lexicon_path)
+        path = _locate(f"--{role}", name or defaults[role], bundled.lexicon_path, "lexicon")
         lexicons.append(load_lexicon(path))
     src, tgt = lexicons
     goal = _goal(target, src.table)  # a bad --target fails before any sentence is read
     functor = load_functor(functor_path, src.table, tgt.table)
     if wordmap_name is not None:
-        wordmap_path = _locate(wordmap_name, bundled.wordmap_path)
+        wordmap_path = _locate("--wordmap", wordmap_name, bundled.wordmap_path, "word map")
     else:
         try:
             wordmap_path = bundled.wordmap_path(functor_name)
@@ -302,7 +312,7 @@ def cmd_check(suite, tol, max_len, count, fmt):
 @click.argument("lexicon_name")
 def cmd_validate(lexicon_name):
     """Load and validate a lexicon file (or bundled lexicon name)."""
-    lex = load_lexicon(_locate(lexicon_name, bundled.lexicon_path))
+    lex = load_lexicon(_locate("LEXICON_NAME", lexicon_name, bundled.lexicon_path, "lexicon"))
     click.echo(
         f"ok: language {lex.language!r}, {len(lex.entries)} entries, "
         f"{len(lex.table.atoms)} atoms, {len(lex.metarules)} metarules"

@@ -229,6 +229,41 @@ class SpanSearch:
                     raise AssertionError(f"state {(u, v)} succeeds by no way")
         return ReductionWitness(tuple(links), tuple(residue))
 
+    def _block(self, state, listed: dict, single: dict, blocks: dict):
+        # state's links and residue if it has exactly one witness, else
+        # None: a state has one witness when it has one way and so has each
+        # state that way leaves.  One pass reads state and the one-way
+        # states below it in the walk's order, stopping at a state known to
+        # have more and taking the block of one that has a block; all are
+        # listed, as the walk read state's first way through before it came
+        # back.  single records the answer for each state read, so no state
+        # is read again once known to have more.
+        links, residue, order, todo = [], [], [], [state]
+        alone = True  # no state read has more than one witness
+        while todo:
+            s = todo.pop()
+            if block := blocks.get(s):
+                links += block[0]
+                residue += block[1]
+                continue
+            ways = listed[s]
+            if len(ways) > 1 or single.get(s) is False:
+                single[s] = alone = False
+                continue
+            (move, states), = ways
+            order.append(s)
+            if move[1] < 0:
+                residue.append(move[0])
+            else:
+                links.append(move)
+            todo += states  # the last read first, as in the walk
+        if alone:
+            single.update(dict.fromkeys(order, True))
+            return tuple(links), tuple(residue)
+        for s in reversed(order):  # each after the states below it
+            single[s] = all(single[t] for t in listed[s][0][1])
+        return None
+
     def witnesses(self, limit: int = DEFAULT_LIMIT) -> list[ReductionWitness]:
         """The first ``limit`` witnesses in search order, sorted.  The search
         reads positions left to right; at each it first keeps the simple type
@@ -241,11 +276,16 @@ class SpanSearch:
         at a state with another way left, holding the links and residue
         kept, the state's ways, the next way's index and the states pending
         as nested pairs.  A witness is done when no state is pending, and
-        the walk resumes from the latest record, so it pays about one step
-        per move that differs between consecutive witnesses.  A state's ways
-        are listed once, at most ``limit`` of them, as each way leads to a
-        witness.  Limit 1 takes :meth:`_first`, a plain descent that lists
-        no ways."""
+        the walk resumes from the latest record.  A state's ways are listed
+        on its first visit, at most ``limit`` of them, as each way leads to
+        a witness.  On the second visit of a state with one way the walk
+        decides, once per state, whether it has exactly one witness
+        (:meth:`_block`); from then on it appends such a state's links and
+        residue in one step.  So a step of the walk is a state met for the
+        first time, a move at a state with more than one witness, or a
+        whole single-witness block, and a state met only once costs one
+        dict store.  Limit 1 takes :meth:`_first`, a plain descent that
+        lists no ways."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if self.eps:
@@ -254,13 +294,15 @@ class SpanSearch:
             return []
         if limit == 1:
             return [self._first()]
-        found, listed = [], {}
+        found, listed, single = [], {}, {}
+        blocks = {}  # state -> its one witness, or None, from its second visit on
         links, residue = [], []
         branches = []  # [links kept, residue kept, ways, next way's index, states pending]
         pending = ((0, self.end), None) if self.end else None
+        new = tuple.__new__  # a witness without the named tuple's __new__
         while True:
             if pending is None:
-                found.append(ReductionWitness(tuple(links), tuple(residue)))
+                found.append(new(ReductionWitness, (tuple(links), tuple(residue))))
                 if len(found) == limit or not branches:
                     break
                 branch = branches[-1]
@@ -273,9 +315,17 @@ class SpanSearch:
                 move, states = ways[i]
             else:
                 state, pending = pending
-                ways = listed.get(state)
-                if ways is None:
-                    ways = listed[state] = self._ways(*state, limit)
+                block = blocks.get(state)
+                if block is None:
+                    ways = listed.get(state)
+                    if ways is None:
+                        ways = listed[state] = self._ways(*state, limit)
+                    elif len(ways) == 1 and single.get(state) is not False:
+                        block = blocks[state] = self._block(state, listed, single, blocks)
+                if block:
+                    links += block[0]
+                    residue += block[1]
+                    continue
                 if len(ways) > 1:
                     branches.append([len(links), len(residue), ways, 1, pending])
                 move, states = ways[0]

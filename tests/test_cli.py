@@ -103,11 +103,24 @@ _witnesses = st.builds(ReductionWitness,
 @example("a\ud800", [(None, "n", [ReductionWitness(((0, 1),), (2,))])])
 @example("", [(None, "x", [ReductionWitness((), ())]), (None, "y", [])])
 @example("", [(None, "y", [])])
+# a residue's closing text made once per line: two witnesses of one
+# selection, and two selections, sharing a residue; an empty residue next to
+# a non-empty one; the same residue on two lines with one link table
+@example("a", [(None, "n", [ReductionWitness(((0, 1),), (2,)),
+                            ReductionWitness(((1, 2),), (2,))])])
+@example("b", [(None, "x", [ReductionWitness(((0, 1),), (2, 3))]),
+               (None, "y", [ReductionWitness(((3, 4),), (2, 3))])])
+@example("c", [(None, "n", [ReductionWitness(((0, 1),), ()), ReductionWitness((), (0,)),
+                            ReductionWitness(((1, 2),), ())])])
+@example("d", [(None, "x", [ReductionWitness(((0, 1),), (2,))]),
+               (None, "y", [ReductionWitness(((0, 1),), ()), ReductionWitness((), (2,))])])
 def test_json_parse_line_is_json_dumps_of_the_witness_dicts(line, found):
     link_text = _LinkText()
     assert _json_parse_line(line, found, link_text) == _reference_line(line, found)
-    # a second line reads the links' texts already made
+    # a second line reads the links' texts already made, and a third line
+    # with the selections the other way round makes its residues' anew
     assert _json_parse_line(line, found, link_text) == _reference_line(line, found)
+    assert _json_parse_line(line, found[::-1], link_text) == _reference_line(line, found[::-1])
 
 
 # the two-selection lexicon of the test above, with a non-ASCII word; the
@@ -674,6 +687,24 @@ def test_a_directory_named_like_a_bundled_file_does_not_hide_it(runner, tmp_path
     r = runner.invoke(main, ["validate", "ja"])
     assert r.exit_code == 0, r.output
     assert "ok" in r.output
+
+
+@pytest.mark.parametrize("args, option, kind", [
+    (["parse", "neko", "--lex"], "--lex", "lexicon"),
+    (["translate", "mori ni neko ga iru", "--functor", "jp-en-anti", "--src"], "--src", "lexicon"),
+    (["translate", "mori ni neko ga iru", "--functor", "jp-en-anti", "--tgt"], "--tgt", "lexicon"),
+    (["translate", "mori ni neko ga iru", "--functor"], "--functor", "functor"),
+    (["translate", "mori ni neko ga iru", "--functor", "jp-en-anti", "--wordmap"], "--wordmap",
+     "word map"),
+    (["validate"], "LEXICON_NAME", "lexicon"),
+])
+def test_a_missing_data_file_is_named_as_given(runner, tmp_path, args, option, kind):
+    # not the bundled file name made up from it
+    missing = str(tmp_path / "missing.json")
+    r = runner.invoke(main, args + [missing])
+    assert r.exit_code == 1, r.output
+    assert r.output == (f"Error: {option} {missing!r}: no such file and no bundled {kind} "
+                        "of that name\n")
 
 
 # ---- README ------------------------------------------------------------------

@@ -243,11 +243,12 @@ def reference_ways(search, u, v):
             yield (u, k), left((d, k), (dst[k], v))
 
 
-def reference_witnesses(search, limit):
-    """The first ``limit`` witnesses of a flat search, in search order."""
+def reference_witnesses(search, limit, listed=None):
+    """The first ``limit`` witnesses of a flat search, in search order;
+    ``listed`` gets each state whose ways the walk lists."""
     if not search.reduces():
         return []
-    found, listed = [], {}
+    found, listed = [], {} if listed is None else listed
     links, residue = [], []
     todo = [(0, 0, None, ((0, search.end), None) if search.end else None)]
     while todo:
@@ -308,6 +309,84 @@ def test_every_limit_keeps_the_reference_search_order(drawn):
             reference_witnesses(search, k))
     first = reference_witnesses(search, 1)
     assert reduce(t, goal, TABLE) == (first[0] if first else None)
+
+
+class CountingSearch(SpanSearch):
+    """A search that records the states whose ways it lists, the states it
+    decides single-witness blocks for, and how often those decisions read a
+    state's ways."""
+
+    def __init__(self, alternatives, target, table):
+        super().__init__(alternatives, target, table)
+        self.listed, self.decided, self.reads = [], [], 0
+
+    def _ways(self, u, v, limit):
+        self.listed.append((u, v))
+        return super()._ways(u, v, limit)
+
+    def _block(self, state, listed, single, blocks):
+        self.decided.append(state)
+        return super()._block(state, ReadCounter(self, listed), single, blocks)
+
+
+class ReadCounter:
+    """The walk's listed ways, counting each read on ``search.reads``."""
+
+    def __init__(self, search, listed):
+        self.search, self.listed = search, listed
+
+    def __getitem__(self, state):
+        self.search.reads += 1
+        return self.listed[state]
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_inputs())
+def test_the_walk_lists_the_reference_states_and_decides_each_once(drawn):
+    # appending single-witness blocks lists no state the reference walk does
+    # not, and lists each once; each state is decided at most once
+    t, goal = drawn
+    for limit in (2, 3, 7, 50, 10**6):
+        search, listed = CountingSearch([(t,)], goal, TABLE), {}
+        assert search.witnesses(limit) == sorted(reference_witnesses(search, limit, listed))
+        assert sorted(search.listed) == sorted(listed)
+        assert len(set(search.decided)) == len(search.decided)
+
+
+def test_single_witness_blocks_need_no_deep_stack():
+    # under test_search_needs_no_deep_stack's recursion limit: a 3000-link
+    # chain, deep nesting, deep nesting around a centre with 5 witnesses,
+    # and a deep single-witness state read again for each of 5 witnesses
+    centre = "n n^l n n^r n n^l n n^r"
+    inputs = [parse_type(text, NS) for text in (
+        "n n^l " * 3000 + "n",
+        "n " + "n^l " * 3000 + "n " * 3000,
+        "n " + "n^l " * 2000 + centre + " n" * 2000,
+        "n n^l n n^r n n^l n n^r n" + " n^l" * 2000 + " n" * 2000)]
+    goal = parse_type("n", NS)
+    searches = [CountingSearch([(t,)], goal, NS) for t in inputs]
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(call_depth() + 60)
+    try:
+        found = [search.witnesses(1024) for search in searches]
+    finally:
+        sys.setrecursionlimit(saved)
+    assert [len(ws) for ws in found] == [1, 1, 5, 5]
+    for search, ws in zip(searches, found):
+        assert ws == sorted(reference_witnesses(search, 1024))
+    assert searches[3].decided  # the deep block was read as one
+
+
+@pytest.mark.parametrize("m", [100, 400])
+def test_deciding_blocks_reads_each_state_a_few_times(m):
+    # a nested chain around a centre with 5 witnesses, after a prefix with
+    # 2: each chain state is visited again for each witness, and the first
+    # decision records that every chain state has more than one witness, so
+    # the decisions read a few states per state listed, not a chain per state
+    text = "n n^l n n^r n n^l n" + " n^l" * m + " n n^l n n^r n n^l n n^r" + " n" * m
+    search = CountingSearch([(parse_type(text, NS),)], parse_type("n", NS), NS)
+    assert len(search.witnesses(1024)) == 10
+    assert search.reads <= 3 * len(search.listed)
 
 
 # the predicates the scan replaced, kept as its reference
